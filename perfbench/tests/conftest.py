@@ -1,0 +1,12 @@
+"""Import the benchmark and the checkout's program.
+
+Run from the root of a checkout: ``python3 -m pytest perfbench/tests``.
+"""
+
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[2]
+for path in (ROOT / "src", ROOT):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))
