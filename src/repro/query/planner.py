@@ -4,7 +4,8 @@ Planning is rule-based, in decreasing preference:
 
 1. **IndexLookup** — an equality/MATCH conjunct on an indexed field,
    choosing the most selective index by distinct-key cardinality (ties
-   break toward hash for its O(1) probe).
+   break toward hash for its O(1) probe).  The store reports its primary
+   key as an implicit unique hash index, so ``id = 42`` is a point probe.
 2. **IndexMultiLookup** — an ``IN`` list on an indexed field, one probe per
    value (shortest list preferred).
 3. **IndexRange from a prefix LIKE** — ``name LIKE "Mc%"`` on a B-tree
@@ -73,7 +74,7 @@ class FullScan:
 
 @dataclass(frozen=True, slots=True)
 class IndexLookup:
-    """Probe the secondary index on ``field`` for ``value``."""
+    """Probe the index on ``field`` (secondary, or the primary key) for ``value``."""
 
     field: str
     value: Any

@@ -8,11 +8,22 @@ frame with a non-zero **pin count** is never evicted (a reader is
 holding a reference into it), and a **dirty** frame is written back to
 the page file before its slot is reused.
 
-Usage is a pin/unpin protocol — hold the pin only while decoding::
+Usage is a pin/unpin protocol — hold the pin only while reading the
+bytes::
 
     pool = BufferPool(pager, capacity=256)
     with pool.pin(page_id) as raw:
-        node = LeafNode.unpack(raw)
+        length = HEADER.unpack_from(raw, 0)[2]
+
+Node pages are read through :meth:`BufferPool.node`, which also caches
+the decoded node on the frame, so a hit does no decoding at all::
+
+    node = pool.node(page_id, decode)  # decode(page_id, raw) on a miss only
+
+The cached node lives and dies with its frame: :meth:`put_page`,
+:meth:`free_page`, eviction and :meth:`clear` drop it, so the cache is
+bounded by ``capacity`` like the bytes are.  Callers share it and must
+not mutate it (the B+ tree copies a node before changing it).
 
 Thread safety: all frame bookkeeping runs under one lock, so concurrent
 readers may pin freely.  Writers (``put_page`` / ``new_page`` /
@@ -40,7 +51,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from contextlib import contextmanager
-from typing import Iterator
+from typing import Any, Callable, Iterator
 
 from repro.errors import StorageError
 from repro.obs import metrics as _metrics
@@ -104,12 +115,32 @@ def current_page_stats() -> PageStats | None:
 
 
 class _Frame:
-    __slots__ = ("data", "pin_count", "dirty")
+    __slots__ = ("data", "node", "pin_count", "dirty")
 
     def __init__(self, data: bytes):
         self.data = data
+        #: The decoded form of ``data`` (see :meth:`BufferPool.node`), or
+        #: ``None`` until first decoded.
+        self.node: Any = None
         self.pin_count = 0
         self.dirty = False
+
+
+class _Pin:
+    """The context manager :meth:`BufferPool.pin` returns (a plain class:
+    every node read pins, and a generator-based one costs twice as much)."""
+
+    __slots__ = ("_pool", "_page_id")
+
+    def __init__(self, pool: "BufferPool", page_id: int):
+        self._pool = pool
+        self._page_id = page_id
+
+    def __enter__(self) -> bytes:
+        return self._pool._acquire(self._page_id).data
+
+    def __exit__(self, *exc_info: object) -> None:
+        self._pool._release(self._page_id)
 
 
 class BufferPool:
@@ -166,19 +197,31 @@ class BufferPool:
 
     # -- the pin protocol ----------------------------------------------------
 
-    @contextmanager
-    def pin(self, page_id: int) -> Iterator[bytes]:
-        """Pin ``page_id`` resident and yield its bytes.
+    def pin(self, page_id: int) -> "_Pin":
+        """Pin ``page_id`` resident; the context manager yields its bytes.
 
         The frame cannot be evicted while pinned; unpinning happens on
         context exit.  A miss reads through the pager (CRC-verified) and
         may evict the LRU unpinned frame to stay within capacity.
         """
-        frame = self._acquire(page_id)
-        try:
-            yield frame.data
-        finally:
-            self._release(page_id)
+        return _Pin(self, page_id)
+
+    def node(self, page_id: int, decode: Callable[[int, bytes], Any]) -> Any:
+        """The decoded form of ``page_id``, decoding only if not cached.
+
+        ``decode(page_id, raw)`` runs on the first read after the page
+        was loaded or replaced; its result stays on the frame until the
+        frame's bytes change or the frame leaves the pool.  The result
+        is shared between readers and must be treated as read-only.
+        """
+        with self.pin(page_id) as raw:
+            frame = self._frames[page_id]  # pinned, so resident
+            node = frame.node
+            if node is None:
+                node = decode(page_id, raw)
+                if frame.data is raw:  # still the bytes just decoded
+                    frame.node = node
+            return node
 
     def _acquire(self, page_id: int) -> _Frame:
         with self._lock:
@@ -224,6 +267,7 @@ class BufferPool:
             frame = self._frames.get(page_id)
             if frame is not None:
                 frame.data = data
+                frame.node = None
                 self._frames.move_to_end(page_id)
             else:
                 frame = _Frame(data)

@@ -19,6 +19,12 @@ Concurrency contract: any number of readers OR one writer — the store
 layer's lock already enforces this; the tree adds no locking of its own
 beyond the buffer pool's internal consistency.
 
+Decoded nodes are cached by the buffer pool next to their page bytes,
+so a pool hit does no decoding.  Readers share the cached node; a
+writer copies a node (:meth:`LeafNode.copy` / :meth:`InternalNode.copy`)
+before changing it and installs the new bytes with ``put_page``, which
+drops the cached node, so no reader ever sees a node mid-change.
+
 Typical lifecycle::
 
     # Checkpoint: stream sorted records into a fresh page file.
@@ -71,6 +77,16 @@ _SEARCHES = _metrics.counter("storage.paged_btree.searches")
 _SPLITS = _metrics.counter("storage.paged_btree.node_splits")
 _BULK_LOADS = _metrics.counter("storage.paged_btree.bulk_loads")
 _DEPTH = _metrics.gauge("storage.paged_btree.depth")
+
+
+def _decode_node(page_id: int, raw: bytes) -> LeafNode | InternalNode:
+    """Decode a node page (the buffer pool calls this on a cache miss)."""
+    ptype = page_type(raw)
+    if ptype == PT_LEAF:
+        return LeafNode.unpack(raw)
+    if ptype == PT_INTERNAL:
+        return InternalNode.unpack(raw)
+    raise PageCorruptionError(page_id, f"expected a node page, got type {ptype}")
 
 
 class PagedBTree:
@@ -140,13 +156,8 @@ class PagedBTree:
     # -- node I/O ------------------------------------------------------------
 
     def _read_node(self, page_id: int) -> LeafNode | InternalNode:
-        with self._pool.pin(page_id) as raw:
-            ptype = page_type(raw)
-            if ptype == PT_LEAF:
-                return LeafNode.unpack(raw)
-            if ptype == PT_INTERNAL:
-                return InternalNode.unpack(raw)
-        raise PageCorruptionError(page_id, f"expected a node page, got type {ptype}")
+        """The (shared, read-only) decoded node of ``page_id``."""
+        return self._pool.node(page_id, _decode_node)
 
     def _write_node(self, page_id: int, node: LeafNode | InternalNode) -> None:
         self._pool.put_page(page_id, node.pack())
@@ -300,6 +311,7 @@ class PagedBTree:
             )
         self._dirty = True
         path, page_id, leaf = self._descend(key)
+        leaf = leaf.copy()
         stored = self._store_value(value)
         idx = bisect.bisect_left(leaf.keys, key)
         if idx < len(leaf.keys) and leaf.keys[idx] == key:
@@ -335,6 +347,7 @@ class PagedBTree:
         if right.next_leaf:
             successor = self._read_node(right.next_leaf)
             if isinstance(successor, LeafNode):
+                successor = successor.copy()
                 successor.prev_leaf = right_pid
                 self._write_node(right.next_leaf, successor)
         self._write_node(right_pid, right)
@@ -358,6 +371,7 @@ class PagedBTree:
     ) -> None:
         while path:
             page_id, node, idx = path.pop()
+            node = node.copy()
             node.keys.insert(idx, separator)
             node.children.insert(idx + 1, right_pid)
             if node.packed_size() <= PAGE_SIZE:
@@ -395,6 +409,7 @@ class PagedBTree:
         if idx >= len(leaf.keys) or leaf.keys[idx] != key:
             raise KeyError(key)
         self._dirty = True
+        leaf = leaf.copy()
         old = leaf.values[idx]
         if isinstance(old, OverflowRef):
             self._free_chain(old)
@@ -408,11 +423,13 @@ class PagedBTree:
         if leaf.prev_leaf:
             prev = self._read_node(leaf.prev_leaf)
             if isinstance(prev, LeafNode):
+                prev = prev.copy()
                 prev.next_leaf = leaf.next_leaf
                 self._write_node(leaf.prev_leaf, prev)
         if leaf.next_leaf:
             nxt = self._read_node(leaf.next_leaf)
             if isinstance(nxt, LeafNode):
+                nxt = nxt.copy()
                 nxt.prev_leaf = leaf.prev_leaf
                 self._write_node(leaf.next_leaf, nxt)
         self._pool.free_page(page_id)
@@ -424,6 +441,7 @@ class PagedBTree:
             raise PageCorruptionError(
                 page_id, f"descent path stale: child {child_pid} not at slot {idx}"
             )
+        node = node.copy()
         del node.children[idx]
         if node.keys:
             del node.keys[max(0, idx - 1)]
@@ -570,10 +588,9 @@ class PagedBTree:
             raw = self._pager.read_page(page_id)  # CRC-verified
             if on_page is not None:
                 on_page(1)
-            ptype = page_type(raw)
-            if ptype == PT_LEAF:
-                node = LeafNode.unpack(raw)
-                self._verify_keys(page_id, node.keys, lo, hi)
+            node = _decode_node(page_id, raw)
+            self._verify_keys(page_id, node.keys, lo, hi)
+            if isinstance(node, LeafNode):
                 for stored in node.values:
                     if isinstance(stored, OverflowRef):
                         stats["overflow_pages"] += self._verify_chain(stored)
@@ -581,17 +598,13 @@ class PagedBTree:
                 stats["entries"] += len(node.keys)
                 leaf_depths.add(depth)
                 leaf_chain.append((page_id, node))
-            elif ptype == PT_INTERNAL:
-                node = InternalNode.unpack(raw)
-                self._verify_keys(page_id, node.keys, lo, hi)
+            else:
                 if len(node.children) != len(node.keys) + 1:
                     raise PageCorruptionError(page_id, "child/key count mismatch")
                 stats["internals"] += 1
                 bounds = [lo, *node.keys, hi]
                 for i, child in enumerate(node.children):
                     walk(child, depth + 1, bounds[i], bounds[i + 1])
-            else:
-                raise PageCorruptionError(page_id, f"unexpected page type {ptype}")
 
         walk(meta.root, 1, None, None)
         stats["depth"] = max(leaf_depths)

@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import struct
 import zlib
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, BinaryIO, Iterator
@@ -83,6 +84,7 @@ _U16 = struct.Struct("<H")
 _U32 = struct.Struct("<I")
 _I64 = struct.Struct("<q")
 _F64 = struct.Struct("<d")
+_REF = struct.Struct("<II")
 
 
 class PageCorruptionError(StorageError):
@@ -227,9 +229,56 @@ class OverflowRef:
     length: int
 
 
+class PageValues:
+    """The values of an unpacked leaf, sliced out of its page when read.
+
+    :meth:`LeafNode.unpack` records only where each value cell sits, so a
+    decoded leaf kept next to its page (the buffer pool's node cache)
+    holds no second copy of the value bytes.  Read-only and equal to the
+    list of the same values; :meth:`LeafNode.copy` gives a leaf whose
+    values are a plain list to mutate.
+    """
+
+    __slots__ = ("_page", "_cells")
+
+    def __init__(self, page: bytes, cells: array):
+        self._page = page
+        #: Per value: the page offset of its cell's vtag byte.
+        self._cells = cells
+
+    def _value(self, cell: int) -> bytes | OverflowRef:
+        page = self._page
+        if page[cell] == 1:
+            return OverflowRef(*_REF.unpack_from(page, cell + 1))
+        (length,) = _U32.unpack_from(page, cell + 1)
+        return page[cell + 5 : cell + 5 + length]
+
+    def __len__(self) -> int:
+        return len(self._cells)
+
+    def __getitem__(self, index: int) -> bytes | OverflowRef:
+        return self._value(self._cells[index])
+
+    def __iter__(self) -> Iterator[bytes | OverflowRef]:
+        return map(self._value, self._cells)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, (list, PageValues)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return repr(list(self))
+
+
 @dataclass(slots=True)
 class LeafNode:
     """A leaf page: sorted keys with values (inline bytes or overflow refs).
+
+    An unpacked leaf carries its values as a read-only
+    :class:`PageValues`; :meth:`copy` it before changing it.
 
     Payload layout after the header::
 
@@ -242,9 +291,13 @@ class LeafNode:
     """
 
     keys: list[Any]
-    values: list[bytes | OverflowRef]
+    values: list[bytes | OverflowRef] | PageValues
     prev_leaf: int = 0
     next_leaf: int = 0
+
+    def copy(self) -> "LeafNode":
+        """A leaf with the same cells in fresh lists, safe to mutate."""
+        return LeafNode(list(self.keys), list(self.values), self.prev_leaf, self.next_leaf)
 
     def cell_size(self, key: Any, value: bytes | OverflowRef) -> int:
         key_bytes = pack_key(key)
@@ -283,30 +336,30 @@ class LeafNode:
         ptype, _flags, count, _crc, next_leaf = HEADER.unpack_from(page, 0)
         if ptype != PT_LEAF:
             raise StorageError(f"not a leaf page (type {ptype})")
-        view = memoryview(page)
+        if not isinstance(page, bytes):
+            page = bytes(page)  # the values slice it later; pin an immutable copy
         offset = HEADER_SIZE
-        (prev_leaf,) = _U32.unpack_from(view, offset)
+        (prev_leaf,) = _U32.unpack_from(page, offset)
         offset += 4
         keys: list[Any] = []
-        values: list[bytes | OverflowRef] = []
+        cells = array("I")
         for _ in range(count):
-            (key_len,) = _U16.unpack_from(view, offset)
+            (key_len,) = _U16.unpack_from(page, offset)
             offset += 2
-            key, _ = unpack_key(view, offset)
+            key, _ = unpack_key(page, offset)
             offset += key_len
-            vtag = view[offset]
-            offset += 1
-            if vtag == 1:
-                head, length = struct.unpack_from("<II", view, offset)
-                offset += 8
-                values.append(OverflowRef(head, length))
+            cells.append(offset)
+            if page[offset] == 1:  # vtag: overflow ref
+                offset += 9
             else:
-                (vlen,) = _U32.unpack_from(view, offset)
-                offset += 4
-                values.append(bytes(view[offset : offset + vlen]))
-                offset += vlen
+                offset += 5 + _U32.unpack_from(page, offset + 1)[0]
             keys.append(key)
-        return cls(keys=keys, values=values, prev_leaf=prev_leaf, next_leaf=next_leaf)
+        return cls(
+            keys=keys,
+            values=PageValues(page, cells),
+            prev_leaf=prev_leaf,
+            next_leaf=next_leaf,
+        )
 
 
 @dataclass(slots=True)
@@ -322,6 +375,10 @@ class InternalNode:
 
     keys: list[Any]
     children: list[int]
+
+    def copy(self) -> "InternalNode":
+        """A node with the same keys and children in fresh lists."""
+        return InternalNode(list(self.keys), list(self.children))
 
     def packed_size(self) -> int:
         size = HEADER_SIZE + 4 * len(self.children)
@@ -543,6 +600,7 @@ __all__ = [
     "OVERFLOW_THRESHOLD",
     "OVERFLOW_CAPACITY",
     "OverflowRef",
+    "PageValues",
     "LeafNode",
     "InternalNode",
     "PageFile",

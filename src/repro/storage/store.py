@@ -987,8 +987,12 @@ class RecordStore:
         return field in self._indexes
 
     def index_kind(self, field: str) -> IndexKind | None:
+        """Kind of the index on ``field``; the primary key, unless it has a
+        declared index of its own, is an implicit unique hash index."""
         index = self._indexes.get(field)
-        return index.kind if index else None
+        if index is not None:
+            return index.kind
+        return IndexKind.HASH if field == self.schema.primary_key else None
 
     @property
     def indexed_fields(self) -> tuple[str, ...]:
@@ -1003,6 +1007,8 @@ class RecordStore:
         """
         index = self._indexes.get(field)
         if index is None:
+            if field == self.schema.primary_key:
+                return {"distinct_keys": len(self._records), "entries": len(self._records)}
             return None
         structure = self._ensure_index_built(index)
         return {
@@ -1015,10 +1021,19 @@ class RecordStore:
     def find_by(self, field: str, value: Any) -> list[dict[str, Any]]:
         """All records whose ``field`` equals (or contains) ``value``.
 
-        Uses the secondary index when one exists, otherwise scans.
+        Uses the secondary index when one exists, otherwise probes the
+        record map when ``field`` is the primary key, otherwise scans.
         """
         _FIND_BY_COUNT.inc()
         index = self._indexes.get(field)
+        if index is None and field == self.schema.primary_key:
+            try:
+                record = self._records.get(value)
+            except TypeError:  # unhashable, or not comparable with paged keys
+                record = None
+            out = [] if record is None else [dict(record)]
+            _KU_RECORD(field, value, len(out))
+            return out
         if index is not None:
             structure = self._ensure_index_built(index)
             # A list field may contain the value twice; keep first hits only.
@@ -1607,7 +1622,8 @@ class RecordStore:
             raise StorageError(f"unknown WAL op {op!r}")
 
     def close(self) -> None:
-        """Release the WAL and pages file handles (safe to call twice).
+        """Release the WAL and pages file handles and the built index
+        structures (safe to call twice).
 
         Overlay records NOT yet checkpointed are still durable — they
         live in the WAL and replay on the next open.
@@ -1617,6 +1633,10 @@ class RecordStore:
             self._wal = None
         if isinstance(self._records, PagedRecordMap):
             self._records.close()
+        # Back to declared-but-not-built: a closed store a caller still
+        # holds keeps its index declarations, not their structures.
+        for index in self._indexes.values():
+            index.structure = None
 
     def __enter__(self) -> "RecordStore":
         return self

@@ -7,9 +7,12 @@ The invariants under test are the ones the paged B+ tree leans on:
 * a dirty frame is written back before its slot is reused, so a reader
   that misses always sees the latest bytes;
 * pin counts balance — every ``pin`` exit decrements, an extra unpin
-  raises.
+  raises;
+* a decoded node is cached on its frame and dropped whenever the
+  frame's bytes change or the frame leaves the pool.
 """
 
+import sys
 import tempfile
 import threading
 from pathlib import Path
@@ -20,7 +23,7 @@ from hypothesis import strategies as st
 
 from repro.errors import StorageError
 from repro.storage.bufferpool import BufferPool
-from repro.storage.pages import LeafNode, PageFile
+from repro.storage.pages import PAGE_SIZE, LeafNode, PageCorruptionError, PageFile
 
 
 def _make_pager(tmp_path, pages: int, name: str = "pool.pages") -> PageFile:
@@ -138,6 +141,91 @@ class TestDirtyWriteBack:
         assert len(pool) == 0
 
 
+class _CountingDecoder:
+    """A ``decode`` callback for :meth:`BufferPool.node` that counts calls."""
+
+    def __init__(self):
+        self.calls = []
+
+    def __call__(self, page_id, raw):
+        self.calls.append(page_id)
+        return LeafNode.unpack(raw)
+
+
+class TestNodeCache:
+    def test_hit_does_not_decode(self, tmp_path):
+        pool = BufferPool(_make_pager(tmp_path, 3), capacity=3)
+        decode = _CountingDecoder()
+        first = pool.node(1, decode)
+        assert first.keys == [1]
+        assert pool.node(1, decode) is first
+        assert decode.calls == [1]
+        assert pool.pin_count(1) == 0
+
+    def test_put_page_drops_node(self, tmp_path):
+        pool = BufferPool(_make_pager(tmp_path, 3), capacity=3)
+        decode = _CountingDecoder()
+        old = pool.node(1, decode)
+        pool.put_page(1, LeafNode(keys=[100], values=[b"new"]).pack())
+        assert pool.node(1, decode).keys == [100]
+        assert old.keys == [1]  # a reader's node is never changed under it
+        assert decode.calls == [1, 1]
+
+    def test_free_page_drops_node(self, tmp_path):
+        pager = _make_pager(tmp_path, 3)
+        pool = BufferPool(pager, capacity=3)
+        decode = _CountingDecoder()
+        pool.node(2, decode)
+        pool.free_page(2)
+        assert 2 not in pool.resident()
+        pool.put_page(pager.allocate(), LeafNode(keys=[9], values=[b"v"]).pack())
+        assert pool.node(2, decode).keys == [9]  # the reused id decodes afresh
+        assert decode.calls == [2, 2]
+
+    def test_eviction_and_clear_drop_node(self, tmp_path):
+        pool = BufferPool(_make_pager(tmp_path, 4), capacity=2)
+        decode = _CountingDecoder()
+        pool.node(1, decode)
+        for pid in (2, 3):  # push page 1 out
+            pool.node(pid, decode)
+        assert 1 not in pool.resident()
+        pool.node(1, decode)
+        assert decode.calls == [1, 2, 3, 1]
+        pool.clear()
+        pool.node(1, decode)
+        assert decode.calls == [1, 2, 3, 1, 1]
+
+    def test_failed_decode_caches_nothing(self, tmp_path):
+        pool = BufferPool(_make_pager(tmp_path, 2), capacity=2)
+
+        def broken(page_id, raw):
+            raise PageCorruptionError(page_id, "undecodable")
+
+        with pytest.raises(PageCorruptionError):
+            pool.node(1, broken)
+        assert pool.pin_count(1) == 0
+        decode = _CountingDecoder()
+        assert pool.node(1, decode).keys == [1]
+        assert decode.calls == [1]
+
+    def test_corrupted_page_raises_on_next_miss(self, tmp_path):
+        pager = _make_pager(tmp_path, 3)
+        pool = BufferPool(pager, capacity=1)
+        decode = _CountingDecoder()
+        pool.node(1, decode)
+        with open(pager.path, "r+b") as fh:  # flip one byte of page 1 on disk
+            fh.seek(PAGE_SIZE + 100)
+            byte = fh.read(1)
+            fh.seek(PAGE_SIZE + 100)
+            fh.write(bytes([byte[0] ^ 0xFF]))
+        assert pool.node(1, decode).keys == [1]  # still cached: no disk read
+        pool.node(2, decode)  # evicts page 1
+        with pytest.raises(PageCorruptionError) as err:
+            pool.node(1, decode)
+        assert err.value.page_id == 1
+        assert pool.pin_count(1) == 0
+
+
 class TestPropertyInvariants:
     @given(
         st.lists(st.integers(min_value=1, max_value=12), min_size=1, max_size=60),
@@ -185,5 +273,38 @@ class TestConcurrentReaders:
             t.join()
         assert errors == []
         # quiescent: no pins left anywhere, pool back within capacity
+        assert all(pool.pin_count(pid) == 0 for pid in pool.resident())
+        assert len(pool) <= 4
+
+    def test_node_cache_under_contention(self, tmp_path):
+        """Readers racing on misses, hits and evictions always get the
+        node of the page they asked for, and the pins balance."""
+        pool = BufferPool(_make_pager(tmp_path, 16), capacity=4)
+        errors = []
+
+        def decode(page_id, raw):
+            return LeafNode.unpack(raw)
+
+        def reader(seed: int) -> None:
+            try:
+                for i in range(300):
+                    pid = (seed * 7 + i) % 16 + 1
+                    if pool.node(pid, decode).keys != [pid]:
+                        errors.append(f"page {pid} returned the wrong node")
+            except Exception as exc:  # pragma: no cover - diagnostic
+                errors.append(repr(exc))
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=reader, args=(t,)) for t in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
         assert all(pool.pin_count(pid) == 0 for pid in pool.resident())
         assert len(pool) <= 4

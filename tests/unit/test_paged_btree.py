@@ -4,7 +4,9 @@ The tree is exercised against a plain ``dict`` model: after any sequence
 of inserts, updates, and deletes, ``items()`` must equal the model's
 sorted items — across splits, overflow chains, free-list reuse, and a
 close/reopen cycle.  ``verify()`` (the deep structural check fsck runs)
-must pass after every phase.
+must pass after every phase.  The buffer pool's decoded-node cache must
+make repeat reads decode nothing, without letting a writer change a node
+a reader still holds.
 """
 
 import random
@@ -13,7 +15,13 @@ import pytest
 
 from repro.errors import StorageError
 from repro.storage.paged_btree import MAX_KEY_BYTES, PagedBTree
-from repro.storage.pages import OVERFLOW_CAPACITY
+from repro.storage.pages import (
+    OVERFLOW_CAPACITY,
+    PAGE_SIZE,
+    InternalNode,
+    LeafNode,
+    PageCorruptionError,
+)
 
 
 def _model_check(tree: PagedBTree, model: dict) -> None:
@@ -229,3 +237,95 @@ class TestLifecycle:
         with PagedBTree(path) as tree:
             assert tree.get(1) == b"committed"
             assert tree.get(2) is None
+
+
+@pytest.fixture
+def unpack_calls(monkeypatch):
+    """Count calls of ``LeafNode.unpack`` and ``InternalNode.unpack``."""
+    calls = []
+    for cls in (LeafNode, InternalNode):
+        original = cls.__dict__["unpack"].__func__
+
+        def counting(owner, page, original=original):
+            calls.append(owner.__name__)
+            return original(owner, page)
+
+        monkeypatch.setattr(cls, "unpack", classmethod(counting))
+    return calls
+
+
+def _deep_tree(path, count=2000, **kwargs) -> PagedBTree:
+    tree = PagedBTree.bulk_build(path, ((i, b"v%d" % i) for i in range(count)), **kwargs)
+    tree.flush()
+    return tree
+
+
+class TestNodeCache:
+    def test_repeat_get_decodes_nothing(self, tmp_path, unpack_calls):
+        with _deep_tree(tmp_path / "t.pages") as tree:
+            assert tree.get(1234) == b"v1234"
+            assert "InternalNode" in unpack_calls and "LeafNode" in unpack_calls
+            unpack_calls.clear()
+            assert tree.get(1234) == b"v1234"
+            assert 1234 in tree
+            assert [k for k, _ in tree.range_items(1230, 1240)] == list(range(1230, 1241))
+            assert unpack_calls == []
+
+    def test_writes_drop_the_cached_node(self, tmp_path, unpack_calls):
+        with _deep_tree(tmp_path / "t.pages") as tree:
+            tree.get(50)
+            tree.insert(50, b"changed")
+            unpack_calls.clear()
+            assert tree.get(50) == b"changed"
+            assert unpack_calls == ["LeafNode"]  # the rewritten leaf only
+            tree.delete(50)
+            assert tree.get(50) is None
+
+    def test_writer_never_changes_a_readers_node(self, tmp_path):
+        def view(node):
+            if isinstance(node, LeafNode):
+                return list(node.keys), list(node.values), node.prev_leaf, node.next_leaf
+            return list(node.keys), list(node.children)
+
+        items = ((i, b"v" * 150) for i in range(600))  # ~25 keys per leaf
+        with PagedBTree.bulk_build(tmp_path / "t.pages", items) as tree:
+
+            def check(write):
+                held = []  # what readers of these keys hold right now
+                for key in range(0, 700, 10):  # every leaf
+                    path, _pid, leaf = tree._descend(key)
+                    held += [leaf] + [node for _, node, _ in path]
+                before = [view(node) for node in held]
+                write()
+                assert [view(node) for node in held] == before
+
+            check(lambda: tree.insert(250, b"replaced"))
+            check(lambda: tree.delete(251))
+            check(lambda: tree.insert(250.5, b"x" * 3000))  # overflow value
+            for i in range(100):  # splits leaves, rewrites the root
+                check(lambda i=i: tree.insert(400 + i / 100, b"y" * 150))
+                check(lambda i=i: tree.insert(600 + i, b"y" * 150))
+            for key in range(300):  # empties, unlinks and frees leaves
+                if key != 251:
+                    check(lambda key=key: tree.delete(key))
+            tree.verify()
+
+    def test_corrupted_page_raises_on_next_miss(self, tmp_path):
+        path = tmp_path / "t.pages"
+        _deep_tree(path).close()
+        with PagedBTree(path, pool_pages=4) as tree:
+            _path, leaf_pid, leaf = tree._descend(1000)
+            assert tree.get(1000) == b"v1000"
+            with open(path, "r+b") as fh:  # flip one byte of that leaf on disk
+                fh.seek(leaf_pid * PAGE_SIZE + 200)
+                byte = fh.read(1)
+                fh.seek(leaf_pid * PAGE_SIZE + 200)
+                fh.write(bytes([byte[0] ^ 0xFF]))
+            assert tree.get(1000) == b"v1000"  # cached: the disk is not read
+            for key in range(0, 2000, 100):  # cycle the pool to evict the leaf
+                if key not in leaf.keys:
+                    tree.get(key)
+            assert leaf_pid not in tree.pool.resident()
+            with pytest.raises(PageCorruptionError) as err:
+                tree.get(1000)
+            assert err.value.page_id == leaf_pid

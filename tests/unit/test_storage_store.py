@@ -176,6 +176,38 @@ class TestIndexes:
         memory_store.create_index("year", IndexKind.BTREE)
         assert set(memory_store.indexed_fields) == {"name", "year"}
 
+    def test_primary_key_is_an_implicit_unique_index(self, memory_store):
+        for i in range(3):
+            memory_store.insert(_record(i))
+        assert memory_store.index_kind("id") is IndexKind.HASH
+        assert memory_store.index_statistics("id") == {"distinct_keys": 3, "entries": 3}
+        assert [r["id"] for r in memory_store.find_by("id", 1)] == [1]
+        assert [r["id"] for r in memory_store.find_by("id", 1.0)] == [1]
+        assert memory_store.find_by("id", "1") == []
+        assert memory_store.find_by("id", [1]) == []  # unhashable: no match
+        assert memory_store.find_by("id", 9) == []
+        # Not a declared index: nothing to build, drop, or persist.
+        assert not memory_store.has_index("id")
+        assert "id" not in memory_store.indexed_fields
+
+    def test_declared_primary_key_index_takes_precedence(self, memory_store):
+        memory_store.insert(_record(1))
+        memory_store.create_index("id", IndexKind.BTREE)
+        assert memory_store.index_kind("id") is IndexKind.BTREE
+        assert [r["id"] for r in memory_store.range_by("id", 0, 5)] == [1]
+
+    def test_close_releases_built_index_structures(self, simple_schema, tmp_path):
+        store = RecordStore(simple_schema, tmp_path / "db")
+        store.create_index("name", IndexKind.HASH)
+        store.create_index("year", IndexKind.BTREE)
+        store.insert(_record(1, "a", 1990))
+        assert all(index.structure is not None for index in store._indexes.values())
+        store.close()
+        assert all(index.structure is None for index in store._indexes.values())
+        assert store.index_kind("name") is IndexKind.HASH  # still declared
+        with RecordStore(simple_schema, tmp_path / "db") as reopened:
+            assert [r["id"] for r in reopened.find_by("name", "a")] == [1]
+
 
 class TestDurability:
     def test_recover_from_wal(self, simple_schema, tmp_path):
