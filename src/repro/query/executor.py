@@ -865,35 +865,6 @@ class QueryEngine:
 
     # -- candidates from the access path ------------------------------------------
 
-    @staticmethod
-    def _ticked(
-        rows: Iterator[dict[str, Any]], guard: Guard | None
-    ) -> Iterator[dict[str, Any]]:
-        """``rows`` with every record examined charged to ``guard``.
-
-        Rows are charged in blocks of up to ``guard.stride``, clipped to
-        the remaining row budget so a violation still reports
-        ``used == limit + 1`` exactly, keeping the per-row cost of an
-        armed guard to a few nanoseconds.
-        """
-        if guard is None:
-            yield from rows
-            return
-        rows = iter(rows)
-        stride = guard.stride
-        while True:
-            budget = guard.max_rows
-            size = (
-                stride
-                if budget is None
-                else min(stride, budget - guard.rows_examined + 1)
-            )
-            chunk = tuple(islice(rows, size if size > 0 else 1))
-            if not chunk:
-                return
-            guard.tick(len(chunk))
-            yield from chunk
-
     def _candidates(
         self, plan: Plan, guard: Guard | None = None
     ) -> Iterator[dict[str, Any]]:
@@ -904,49 +875,45 @@ class QueryEngine:
             # scans stay interruptible.
             yield from self.store.scan(guard=guard)
             return
+        # The index reads charge every record they fetch to the guard,
+        # before fetching it, so a deadline or row budget stops them too.
         if isinstance(access, IndexLookup):
-            yield from self._ticked(self.store.find_by(access.field, access.value), guard)
+            yield from self.store.find_by(access.field, access.value, guard=guard)
             return
         if isinstance(access, IndexMultiLookup):
             seen: set[Any] = set()
             for value in access.values:
-                for record in self._ticked(
-                    self.store.find_by(access.field, value), guard
-                ):
+                for record in self.store.find_by(access.field, value, guard=guard):
                     key = self.store.schema.primary_key_of(record)
                     if key not in seen:
                         seen.add(key)
                         yield record
             return
         if isinstance(access, CompositeLookup):
-            yield from self._ticked(
-                self.store.find_by_composite(access.fields, access.values), guard
+            yield from self.store.find_by_composite(
+                access.fields, access.values, guard=guard
             )
             return
         if isinstance(access, CompositeRange):
-            yield from self._ticked(
-                self.store.range_by_composite(
-                    access.fields,
-                    access.prefix,
-                    access.low,
-                    access.high,
-                    include_low=access.include_low,
-                    include_high=access.include_high,
-                ),
-                guard,
+            yield from self.store.range_by_composite(
+                access.fields,
+                access.prefix,
+                access.low,
+                access.high,
+                include_low=access.include_low,
+                include_high=access.include_high,
+                guard=guard,
             )
             return
         if isinstance(access, IndexRange):
             seen: set[Any] = set()
-            for record in self._ticked(
-                self.store.range_by(
-                    access.field,
-                    access.low,
-                    access.high,
-                    include_low=access.include_low,
-                    include_high=access.include_high,
-                ),
-                guard,
+            for record in self.store.range_by(
+                access.field,
+                access.low,
+                access.high,
+                include_low=access.include_low,
+                include_high=access.include_high,
+                guard=guard,
             ):
                 key = self.store.schema.primary_key_of(record)
                 if key not in seen:

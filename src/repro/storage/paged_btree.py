@@ -2,11 +2,12 @@
 
 This is the on-disk counterpart of :class:`repro.storage.btree.BTree`:
 same sorted-map contract (point get, ordered iteration, range scans),
-but the data lives in a :class:`~repro.storage.pages.PageFile` and only
-the working set is resident — at most ``pool_pages`` pages at a time,
-via the :class:`~repro.storage.bufferpool.BufferPool`.  Opening a
-million-record tree touches two pages (meta + root); everything else is
-read through on demand.
+plus :meth:`PagedBTree.get_many`, which reads a sorted batch of keys
+in one walk.  The data lives in a :class:`~repro.storage.pages.PageFile`
+and only the working set is resident — at most ``pool_pages`` pages at
+a time, via the :class:`~repro.storage.bufferpool.BufferPool`.  Opening
+a million-record tree touches two pages (meta + root); everything else
+is read through on demand.
 
 Values are opaque byte strings (the store layer keeps canonical
 per-record JSON there).  Values larger than
@@ -77,6 +78,8 @@ _SEARCHES = _metrics.counter("storage.paged_btree.searches")
 _SPLITS = _metrics.counter("storage.paged_btree.node_splits")
 _BULK_LOADS = _metrics.counter("storage.paged_btree.bulk_loads")
 _DEPTH = _metrics.gauge("storage.paged_btree.depth")
+
+_NO_KEY = object()
 
 
 def _decode_node(page_id: int, raw: bytes) -> LeafNode | InternalNode:
@@ -243,6 +246,40 @@ class PagedBTree:
         _path, _pid, leaf = self._descend(key)
         idx = bisect.bisect_left(leaf.keys, key)
         return idx < len(leaf.keys) and leaf.keys[idx] == key
+
+    def get_many(self, keys: Iterable[Any]) -> Iterator[tuple[Any, bytes]]:
+        """``(key, value)`` for each of the ascending ``keys`` that is present.
+
+        One walk serves the whole batch.  It keeps the previous key's
+        root-to-leaf path, each level with the exclusive upper bound of
+        its span; the next key pops only the levels whose span it has
+        left and descends from the lowest one that still covers it.  The
+        walk therefore reads each node on its keys' root-to-leaf paths
+        exactly once, and no other node: consecutive keys spanning L
+        leaves under one parent read L + depth - 1 nodes, and no batch
+        reads more nodes, or other pages, than point gets of its keys.
+        """
+        self._searches.inc()
+        path: list[tuple[LeafNode | InternalNode, Any]] = []  # (node, upper bound)
+        last: Any = _NO_KEY
+        for key in keys:
+            if last is not _NO_KEY and key < last:
+                raise StorageError(f"get_many keys not ascending at {key!r}")
+            last = key
+            while path and path[-1][1] is not None and not key < path[-1][1]:
+                path.pop()
+            if not path:  # the root's span is unbounded: only the first key
+                path.append((self._read_node(self._pager.meta.root), None))
+            node, hi = path[-1]
+            while isinstance(node, InternalNode):
+                idx = bisect.bisect_right(node.keys, key)
+                if idx < len(node.keys):
+                    hi = node.keys[idx]
+                node = self._read_node(node.children[idx])
+                path.append((node, hi))
+            idx = bisect.bisect_left(node.keys, key)
+            if idx < len(node.keys) and node.keys[idx] == key:
+                yield key, self._load_value(node.values[idx])
 
     # -- iteration -----------------------------------------------------------
 

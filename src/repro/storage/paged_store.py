@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import json
 import zlib
-from typing import Any, Iterator, Mapping
+from typing import Any, Iterator, Mapping, Sequence
 
 from repro.storage.paged_btree import PagedBTree
 
@@ -130,6 +130,38 @@ class PagedRecordMap:
             return self[key]
         except KeyError:
             return default
+
+    def fetch(self, keys: Sequence[Any]) -> list[dict[str, Any]]:
+        """Fresh copies of the records under ``keys``, in the caller's order.
+
+        Overlay records are copied; the rest are read from the base in
+        one key-ordered walk (:meth:`PagedBTree.get_many`) and decoded as
+        they are read, so no batch of raw values is held.  A key listed
+        twice yields two distinct dicts.  :class:`KeyError` for an absent
+        or deleted key.
+        """
+        overlay = self._overlay
+        base_keys = {key for key in keys if key not in overlay}
+        if not base_keys.isdisjoint(self._deleted):
+            raise KeyError(next(iter(base_keys & self._deleted)))
+        decoded = {
+            key: decode_record(raw)
+            for key, raw in self._tree.get_many(sorted(base_keys))
+        }
+        taken: set[Any] = set()
+        out = []
+        for key in keys:
+            record = overlay.get(key)
+            if record is None:
+                record = decoded.get(key)
+                if record is None:
+                    raise KeyError(key)
+                if key not in taken:  # the first occurrence takes the decode
+                    taken.add(key)
+                    out.append(record)
+                    continue
+            out.append(dict(record))
+        return out
 
     def __setitem__(self, key: Any, record: dict[str, Any]) -> None:
         if key not in self:

@@ -578,11 +578,13 @@ class ShardedStore:
 
     # -- index-backed reads ------------------------------------------------
 
-    def find_by(self, field: str, value: Any) -> list[dict[str, Any]]:
+    def find_by(
+        self, field: str, value: Any, *, guard: "Guard | None" = None
+    ) -> list[dict[str, Any]]:
         """Matching records from every shard, in shard order."""
         out: list[dict[str, Any]] = []
         for shard in self.shards:
-            out.extend(shard.find_by(field, value))
+            out.extend(shard.find_by(field, value, guard=guard))
         return out
 
     def range_by(
@@ -593,6 +595,7 @@ class ShardedStore:
         *,
         include_low: bool = True,
         include_high: bool = True,
+        guard: "Guard | None" = None,
     ) -> list[dict[str, Any]]:
         """Range matches from every shard, concatenated in shard order.
 
@@ -604,17 +607,26 @@ class ShardedStore:
         for shard in self.shards:
             out.extend(
                 shard.range_by(
-                    field, low, high, include_low=include_low, include_high=include_high
+                    field,
+                    low,
+                    high,
+                    include_low=include_low,
+                    include_high=include_high,
+                    guard=guard,
                 )
             )
         return out
 
     def find_by_composite(
-        self, fields: Sequence[str], values: Sequence[Any]
+        self,
+        fields: Sequence[str],
+        values: Sequence[Any],
+        *,
+        guard: "Guard | None" = None,
     ) -> list[dict[str, Any]]:
         out: list[dict[str, Any]] = []
         for shard in self.shards:
-            out.extend(shard.find_by_composite(fields, values))
+            out.extend(shard.find_by_composite(fields, values, guard=guard))
         return out
 
     def range_by_composite(
@@ -626,6 +638,7 @@ class ShardedStore:
         *,
         include_low: bool = True,
         include_high: bool = True,
+        guard: "Guard | None" = None,
     ) -> list[dict[str, Any]]:
         out: list[dict[str, Any]] = []
         for shard in self.shards:
@@ -637,6 +650,7 @@ class ShardedStore:
                     high,
                     include_low=include_low,
                     include_high=include_high,
+                    guard=guard,
                 )
             )
         return out

@@ -66,7 +66,6 @@ import json
 import threading
 import zlib
 from dataclasses import dataclass
-from itertools import islice
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -467,10 +466,9 @@ class RecordStore:
         record examined — filtered-out records included — so a deadline,
         cancellation, or row budget interrupts the scan mid-stream.  To
         keep the guarded loop within a few percent of the unguarded one,
-        rows are charged in blocks of up to ``guard.stride``, clipped to
-        the remaining row budget (a budget violation still reports
-        ``used == limit + 1`` exactly); the deadline/cancellation check
-        runs at least once per stride.
+        rows are charged in blocks (:meth:`~repro.resilience.Guard.blocks`):
+        up to ``guard.stride`` rows, clipped to the remaining row budget,
+        so the deadline/cancellation check runs at least once per stride.
         """
         _SCAN_COUNT.inc()
         examined = 0
@@ -481,19 +479,7 @@ class RecordStore:
                     if predicate is None or predicate(record):
                         yield dict(record)
                 return
-            rows = iter(self._records.values())
-            stride = guard.stride
-            while True:
-                budget = guard.max_rows
-                size = (
-                    stride
-                    if budget is None
-                    else min(stride, budget - guard.rows_examined + 1)
-                )
-                chunk = tuple(islice(rows, size if size > 0 else 1))
-                if not chunk:
-                    return
-                guard.tick(len(chunk))
+            for chunk in guard.blocks(self._records.values()):
                 examined += len(chunk)
                 for record in chunk:
                     if predicate is None or predicate(record):
@@ -898,14 +884,18 @@ class RecordStore:
         )
 
     def find_by_composite(
-        self, fields: Sequence[str], values: Sequence[Any]
+        self,
+        fields: Sequence[str],
+        values: Sequence[Any],
+        *,
+        guard: "Guard | None" = None,
     ) -> list[dict[str, Any]]:
         """Records whose ``fields`` equal ``values`` (via the composite index)."""
         index = self._require_composite(fields)
         if len(values) != len(fields):
             raise StorageError("values must match the composite's fields")
         structure = self._ensure_index_built(index)
-        out = [dict(self._records[pk]) for pk in structure.search(tuple(values))]
+        out = self._fetch(structure.search(tuple(values)), guard)
         _KEY_USAGE.record(
             COMPOSITE_SEPARATOR.join(fields), tuple(values), len(out)
         )
@@ -920,6 +910,7 @@ class RecordStore:
         *,
         include_low: bool = True,
         include_high: bool = True,
+        guard: "Guard | None" = None,
     ) -> list[dict[str, Any]]:
         """Prefix-equality + range scan over a composite index.
 
@@ -946,7 +937,7 @@ class RecordStore:
             include_high_effective = True
         structure = self._ensure_index_built(index)
         assert isinstance(structure, BTree)
-        out = []
+        pks = []
         for key_tuple, pk in structure.range(
             low_key, high_key, include_low=True, include_high=include_high_effective
         ):
@@ -961,7 +952,8 @@ class RecordStore:
                 component > high or (component == high and not include_high)
             ):
                 continue
-            out.append(dict(self._records[pk]))
+            pks.append(pk)
+        out = self._fetch(pks, guard)
         _KEY_USAGE.record(
             COMPOSITE_SEPARATOR.join(fields),
             f"{prefix_tuple}{_range_label(low, high)}",
@@ -1018,11 +1010,36 @@ class RecordStore:
 
     # -- index-backed reads -----------------------------------------------------
 
-    def find_by(self, field: str, value: Any) -> list[dict[str, Any]]:
+    def _fetch(
+        self, pks: Sequence[Any], guard: "Guard | None" = None
+    ) -> list[dict[str, Any]]:
+        """Copies of the records under ``pks``, in order; a pk listed twice
+        gives two distinct dicts.
+
+        The paged format reads each batch in key order, one leaf walk per
+        batch (:meth:`PagedRecordMap.fetch`).  ``guard`` is charged in
+        blocks (:meth:`~repro.resilience.Guard.blocks`) before each block
+        is fetched, so a deadline or row budget stops a large index fetch
+        within one stride.
+        """
+        records = self._records
+        if guard is not None:
+            out: list[dict[str, Any]] = []
+            for block in guard.blocks(pks):
+                out.extend(self._fetch(block))
+            return out
+        if isinstance(records, PagedRecordMap):
+            return records.fetch(pks)
+        return [dict(records[pk]) for pk in pks]
+
+    def find_by(
+        self, field: str, value: Any, *, guard: "Guard | None" = None
+    ) -> list[dict[str, Any]]:
         """All records whose ``field`` equals (or contains) ``value``.
 
         Uses the secondary index when one exists, otherwise probes the
         record map when ``field`` is the primary key, otherwise scans.
+        ``guard`` is charged every record fetched (see :meth:`_fetch`).
         """
         _FIND_BY_COUNT.inc()
         index = self._indexes.get(field)
@@ -1032,20 +1049,19 @@ class RecordStore:
             except TypeError:  # unhashable, or not comparable with paged keys
                 record = None
             out = [] if record is None else [dict(record)]
+            if guard is not None:
+                guard.tick(len(out))
             _KU_RECORD(field, value, len(out))
             return out
         if index is not None:
             structure = self._ensure_index_built(index)
             # A list field may contain the value twice; keep first hits only.
-            seen: set[Any] = set()
-            out = []
-            for pk in structure.search(value):
-                if pk not in seen:
-                    seen.add(pk)
-                    out.append(dict(self._records[pk]))
+            out = self._fetch(list(dict.fromkeys(structure.search(value))), guard)
             _KU_RECORD(field, value, len(out))
             return out
-        return [r for r in self.scan(lambda rec: value in _index_keys(rec, field))]
+        return list(
+            self.scan(lambda rec: value in _index_keys(rec, field), guard=guard)
+        )
 
     def range_by(
         self,
@@ -1055,10 +1071,12 @@ class RecordStore:
         *,
         include_low: bool = True,
         include_high: bool = True,
+        guard: "Guard | None" = None,
     ) -> list[dict[str, Any]]:
         """Records with ``field`` in the given range, in field order.
 
         Uses a B-tree index when available; falls back to scan+sort.
+        ``guard`` is charged every record fetched (see :meth:`_fetch`).
         """
         _RANGE_BY_COUNT.inc()
         index = self._indexes.get(field)
@@ -1068,7 +1086,7 @@ class RecordStore:
             pairs = structure.range(
                 low, high, include_low=include_low, include_high=include_high
             )
-            out = [dict(self._records[pk]) for _, pk in pairs]
+            out = self._fetch([pk for _, pk in pairs], guard)
             _KU_RECORD(field, _range_label(low, high), len(out))
             return out
 
@@ -1081,7 +1099,7 @@ class RecordStore:
 
         hits = [
             (key_value, dict(record))
-            for record in self._records.values()
+            for record in self.scan(guard=guard)
             for key_value in _index_keys(record, field)
             if in_range(key_value)
         ]

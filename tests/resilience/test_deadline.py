@@ -210,6 +210,71 @@ class TestExecutorIntegration:
         assert engine.execute("year >= 1999") != []
 
 
+class TestPagedIndexFetch:
+    """The guard stops an index fetch on the paged format within one stride.
+
+    ``year >= 1900 ORDER BY name LIMIT 10`` matches every record, so the
+    index range hands the fetch 5,000 primary keys; the executor cannot
+    stop early because the sort needs them all.  Each record fetched is
+    one ``decode_record`` call.
+    """
+
+    QUERY = "year >= 1900 ORDER BY name LIMIT 10"
+
+    @pytest.fixture()
+    def engine(self, simple_schema, tmp_path):
+        from repro.storage.store import IndexKind, RecordStore
+
+        store = RecordStore(
+            simple_schema, directory=tmp_path, data_format="paged", pool_pages=16
+        )
+        store.create_index("year", IndexKind.BTREE)
+        store.put_many(
+            [{"id": i, "name": f"rec-{i}", "year": 1900 + (i % 100)} for i in range(5000)]
+        )
+        store.checkpoint()
+        engine = QueryEngine(store)
+        assert len(engine.execute(self.QUERY)) == 10  # builds the year index
+        yield engine
+        store.close()
+
+    @pytest.fixture()
+    def decodes(self, monkeypatch):
+        from repro.storage import paged_store
+
+        calls = {"count": 0, "hook": None}
+        original = paged_store.decode_record
+
+        def counting(raw):
+            if calls["hook"] is not None:
+                calls["hook"]()
+            calls["count"] += 1
+            return original(raw)
+
+        monkeypatch.setattr(paged_store, "decode_record", counting)
+        return calls
+
+    def test_row_budget_stops_the_fetch(self, engine, decodes):
+        with pytest.raises(BudgetExceeded) as exc_info:
+            engine.execute(self.QUERY, max_rows=100)
+        assert exc_info.value.used == 101
+        assert decodes["count"] <= Guard().stride + 100
+
+    def test_deadline_stops_the_fetch(self, engine, decodes):
+        deadline = Deadline.after(0.002)
+        at_expiry = []
+
+        def note_expiry():
+            if not at_expiry and deadline.expired():
+                at_expiry.append(decodes["count"])
+
+        decodes["hook"] = note_expiry
+        with pytest.raises(QueryTimeout):
+            engine.execute(self.QUERY, guard=Guard(deadline=deadline))
+        before = at_expiry[0] if at_expiry else decodes["count"]
+        assert decodes["count"] - before <= Guard().stride
+
+
 class TestSearchIntegration:
     def test_title_search_honors_the_guard(self, sample_records):
         from repro.search.engine import TitleSearchEngine

@@ -329,3 +329,111 @@ class TestNodeCache:
             with pytest.raises(PageCorruptionError) as err:
                 tree.get(1000)
             assert err.value.page_id == leaf_pid
+
+
+@pytest.fixture
+def node_reads(monkeypatch):
+    """Count ``BufferPool.node`` calls: every node read, hit or miss."""
+    from repro.storage.bufferpool import BufferPool
+
+    calls = []
+    original = BufferPool.node
+
+    def counting(self, page_id, decode):
+        calls.append(page_id)
+        return original(self, page_id, decode)
+
+    monkeypatch.setattr(BufferPool, "node", counting)
+    return calls
+
+
+def _wide_key(i: int) -> str:
+    # Long keys keep the fan-out small (about a dozen children per
+    # internal node), so batches of a few hundred keys cross
+    # internal-node boundaries.
+    return f"{i:06d}" + "k" * 300
+
+
+class TestGetMany:
+    @pytest.fixture
+    def tree(self, tmp_path):
+        items = ((_wide_key(i), b"v%d" % i) for i in range(0, 4000, 2))
+        with PagedBTree.bulk_build(tmp_path / "t.pages", items) as tree:
+            tree.flush()
+            assert tree.verify()["depth"] == 3
+            yield tree
+
+    def test_matches_point_gets(self, tree):
+        rng = random.Random(7)
+        for size in (0, 1, 5, 50, 500):
+            keys = sorted({_wide_key(rng.randrange(-10, 4100)) for _ in range(size)})
+            expected = [(k, tree.get(k)) for k in keys if k in tree]
+            assert list(tree.get_many(keys)) == expected
+
+    def test_keys_must_ascend(self, tree):
+        with pytest.raises(StorageError):
+            list(tree.get_many([_wide_key(10), _wide_key(4)]))
+
+    @staticmethod
+    def _path_nodes(tree, keys):
+        """Page ids of every node on the keys' root-to-leaf paths."""
+        nodes = set()
+        for key in keys:
+            path, leaf_pid, _leaf = tree._descend(key)
+            nodes.update(pid for pid, _node, _idx in path)
+            nodes.add(leaf_pid)
+        return nodes
+
+    def test_reads_each_path_node_once(self, tree, node_reads):
+        rng = random.Random(5)
+        batches = [range(lo, hi) for lo, hi in ((0, 40), (100, 900), (1000, 3998), (3990, 4200))]
+        batches += [rng.sample(range(-10, 4100), size) for size in (1, 3, 20, 200, 1000)]
+        for batch in batches:
+            keys = sorted({_wide_key(i) for i in batch})
+            nodes = self._path_nodes(tree, keys)
+            node_reads.clear()
+            list(tree.get_many(keys))
+            assert sorted(node_reads) == sorted(nodes)
+
+    def test_consecutive_keys_under_one_parent(self, tree, node_reads):
+        depth = tree.verify()["depth"]
+        keys = [_wide_key(i) for i in range(0, 120)]
+        parents = {tree._descend(k)[0][-1][0] for k in keys}
+        leaves = {tree._descend(k)[1] for k in keys}
+        assert len(parents) == 1 and len(leaves) > 3
+        node_reads.clear()
+        assert len(list(tree.get_many(keys))) == 60
+        assert len(node_reads) == len(leaves) + depth - 1
+
+    def test_scattered_keys_never_read_more_than_point_gets(self, tree, node_reads):
+        rng = random.Random(11)
+        for size in (1, 3, 20, 200, 1000):
+            keys = sorted({_wide_key(rng.randrange(-10, 4100)) for _ in range(size)})
+            node_reads.clear()
+            list(tree.get_many(keys))
+            batched = list(node_reads)
+            node_reads.clear()
+            for key in keys:
+                tree.get(key)
+            assert len(batched) <= len(node_reads), size
+            assert set(batched) == set(node_reads)  # no page a point get skips
+
+    def test_corrupted_page_raises_on_next_miss(self, tmp_path):
+        path = tmp_path / "t.pages"
+        _deep_tree(path).close()
+        with PagedBTree(path, pool_pages=4) as tree:
+            _path, leaf_pid, leaf = tree._descend(1000)
+            keys = list(range(900, 1100))
+            assert list(tree.get_many(keys)) == [(k, b"v%d" % k) for k in keys]
+            with open(path, "r+b") as fh:  # flip one byte of that leaf on disk
+                fh.seek(leaf_pid * PAGE_SIZE + 200)
+                byte = fh.read(1)
+                fh.seek(leaf_pid * PAGE_SIZE + 200)
+                fh.write(bytes([byte[0] ^ 0xFF]))
+            for key in range(0, 2000, 100):  # cycle the pool to evict the leaf
+                if key not in leaf.keys:
+                    tree.get(key)
+            assert leaf_pid not in tree.pool.resident()
+            with pytest.raises(PageCorruptionError) as err:
+                list(tree.get_many(keys))
+            assert err.value.page_id == leaf_pid

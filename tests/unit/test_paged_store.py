@@ -135,6 +135,23 @@ class TestPagedRecordMap:
         assert len(m) == 5
         m.close()
 
+    def test_fetch_serves_overlay_base_and_tombstones(self, tmp_path):
+        m = _base_map(tmp_path)
+        m[20] = _rec(20)
+        m[3] = _rec(3, year=5)
+        m.pop(7)
+        keys = [9, 20, 3, 0, 9, 3]  # caller's order, with repeats
+        got = m.fetch(keys)
+        assert got == [m[k] for k in keys]
+        assert got[2]["year"] == 1995  # the overlay shadows the base
+        assert len({id(r) for r in got}) == len(got)  # fresh dicts, repeats too
+        assert got[1] is not m[20]  # overlay records are copied
+        assert m.fetch([]) == []
+        for absent in ([7], [1, 7], [99]):  # tombstoned, then never stored
+            with pytest.raises(KeyError):
+                m.fetch(absent)
+        m.close()
+
 
 class TestPagedRecordStore:
     def test_checkpoint_reopen_identity(self, tmp_path):
