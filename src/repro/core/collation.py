@@ -20,6 +20,7 @@ text) and encoded here:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Any, Sequence
 
@@ -50,6 +51,11 @@ class CollationOptions:
 
 DEFAULT_OPTIONS = CollationOptions()
 
+#: How many distinct names (per :class:`CollationOptions`) :func:`collation_key`
+#: keeps the name-derived key parts for.  An author usually heads several
+#: rows, and folding a name is most of the work of a row's key.
+NAME_KEY_CACHE_SIZE = 1 << 14
+
 
 def surname_sort_key(surname: str, options: CollationOptions = DEFAULT_OPTIONS) -> str:
     """Folded surname key using word-by-word ("nothing before something")
@@ -77,16 +83,42 @@ def given_sort_key(name: PersonName) -> str:
     return normalization_key(name.given)
 
 
+def _name_key_parts(
+    name: PersonName, options: CollationOptions
+) -> tuple[tuple[Any, ...], str]:
+    """The name's leading key fields and its printed heading, cached."""
+    return _cached_name_key_parts(
+        name.surname, name.given, name.suffix, name.honorific, name.is_student, options
+    )
+
+
+@functools.lru_cache(maxsize=NAME_KEY_CACHE_SIZE)
+def _cached_name_key_parts(
+    surname: str,
+    given: str,
+    suffix: str,
+    honorific: str,
+    is_student: bool,
+    options: CollationOptions,
+) -> tuple[tuple[Any, ...], str]:
+    # Keyed by the fields the parts depend on, not by the PersonName: its
+    # ``raw`` and ``form`` record provenance, so spellings of one name that
+    # parse alike share an entry and the cache pins no source text.
+    name = PersonName(surname, given, suffix, honorific, is_student)
+    key: tuple[Any, ...] = (surname_sort_key(surname, options), given_sort_key(name))
+    if not options.ignore_suffix:
+        key += (name.suffix_rank,)
+    return key, name.inverted(student_marker=True)
+
+
 def name_sort_key(
     name: PersonName, options: CollationOptions = DEFAULT_OPTIONS
 ) -> tuple[Any, ...]:
     """Composite sort key for a person name under ``options``."""
-    key: list[Any] = [surname_sort_key(name.surname, options), given_sort_key(name)]
-    if not options.ignore_suffix:
-        key.append(name.suffix_rank)
-    if not options.ignore_student_flag:
-        key.append(1 if name.is_student else 0)
-    return tuple(key)
+    key = _name_key_parts(name, options)[0]
+    if options.ignore_student_flag:
+        return key
+    return key + (1 if name.is_student else 0,)
 
 
 def collation_key(
@@ -95,21 +127,23 @@ def collation_key(
     """Full sort key for one index row: author key, then citation order.
 
     The student flag is a row property (the asterisk is printed per row),
-    so it is taken from the entry, not the parsed name.
+    so it is taken from the entry, not the parsed name.  The parts that
+    depend only on the name come from a cache bounded by
+    :data:`NAME_KEY_CACHE_SIZE`.
     """
-    name = entry.author
-    key: list[Any] = [surname_sort_key(name.surname, options), given_sort_key(name)]
-    if not options.ignore_suffix:
-        key.append(name.suffix_rank)
-    if not options.ignore_student_flag:
-        key.append(1 if entry.is_student_work else 0)
-    key.append((entry.citation.volume, entry.citation.page, entry.citation.year))
-    key.append(_title_key(entry.title))
+    name_key, shown = _name_key_parts(entry.author, options)
+    citation = entry.citation
     # Deterministic final tiebreak: distinct rows whose folded keys collide
     # (e.g. "A-a" vs "Aa") must still sort the same way from any input
     # order, so the raw strings settle it.
-    key.append((name.inverted(student_marker=True), entry.title, entry.is_student_work))
-    return tuple(key)
+    row_key = (
+        (citation.volume, citation.page, citation.year),
+        _title_key(entry.title),
+        (shown, entry.title, entry.is_student_work),
+    )
+    if options.ignore_student_flag:
+        return name_key + row_key
+    return name_key + (1 if entry.is_student_work else 0,) + row_key
 
 
 def _title_key(title: str) -> str:

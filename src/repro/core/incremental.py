@@ -4,8 +4,11 @@ A cumulative index grows by one volume a year; rebuilding the whole thing
 for every added article is wasteful once the corpus is large.
 :class:`IncrementalIndexer` keeps the entry list sorted under the same
 collation as :class:`~repro.core.builder.AuthorIndexBuilder` and applies
-record additions/removals in O(log n + k) per record via binary insertion,
-guaranteeing at all times::
+record additions/removals by binary insertion: finding a row's position
+takes O(log n) comparisons, but inserting into or deleting from the Python
+list shifts its tail, so each row costs O(n) element moves
+(:meth:`IncrementalIndexer.add_all` merges a batch in one O(n + k) pass
+instead).  It guarantees at all times::
 
     indexer.snapshot() == AuthorIndexBuilder().add_records(all_records).build()
 

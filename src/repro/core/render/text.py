@@ -62,8 +62,8 @@ class TextRenderer(Renderer):
 def _entry_lines(entry: IndexEntry) -> list[str]:
     """Lay one entry out across as many lines as its columns need."""
     author_text = entry.author.inverted() + ("*" if entry.is_student_work else "")
-    author_lines = textwrap.wrap(author_text, _AUTHOR_WIDTH) or [""]
-    title_lines = textwrap.wrap(entry.title, _TITLE_WIDTH) or [""]
+    author_lines = wrap(author_text, _AUTHOR_WIDTH) or [""]
+    title_lines = wrap(entry.title, _TITLE_WIDTH) or [""]
     cite_lines = [entry.citation.columnar()]
 
     height = max(len(author_lines), len(title_lines), len(cite_lines))
@@ -75,3 +75,35 @@ def _entry_lines(entry: IndexEntry) -> list[str]:
     for a, t, c in zip(author_lines, title_lines, cite_lines):
         rows.append(f"{a:<{_AUTHOR_WIDTH}} {t:<{_TITLE_WIDTH}} {c:>{_CITE_WIDTH}}".rstrip())
     return rows
+
+
+def wrap(text: str, width: int) -> list[str]:
+    """``textwrap.wrap(text, width)``, with fast paths for plain text.
+
+    Text that is printable (so its only whitespace is the ASCII space)
+    and has no space at either end takes a fast path: it is one line when
+    it fits, and otherwise, if it has no hyphen or double space and no
+    word is wider than ``width``, it is filled greedily on single spaces,
+    which is what ``textwrap`` does to such text.  Anything else goes to
+    ``textwrap.wrap``.
+
+    >>> wrap("Mineral Rights in West Virginia", 12)
+    ['Mineral', 'Rights in', 'West', 'Virginia']
+    """
+    if text and text.isprintable() and text[0] != " " and text[-1] != " ":
+        if len(text) <= width:
+            return [text]
+        if "-" not in text and "  " not in text:
+            words = text.split(" ")
+            if max(map(len, words)) <= width:
+                lines = []
+                line = words[0]
+                for word in words[1:]:
+                    if len(line) + 1 + len(word) <= width:
+                        line += " " + word
+                    else:
+                        lines.append(line)
+                        line = word
+                lines.append(line)
+                return lines
+    return textwrap.wrap(text, width)

@@ -24,8 +24,12 @@ def strip_diacritics(text: str) -> str:
     """Remove combining marks: ``"Müller"`` → ``"Muller"``.
 
     Uses NFKD decomposition and drops combining code points, which covers
-    the Latin-script diacritics that occur in author names.
+    the Latin-script diacritics that occur in author names.  ASCII text is
+    returned as is: NFKD leaves it unchanged and no ASCII character is a
+    combining mark.
     """
+    if text.isascii():
+        return text
     decomposed = unicodedata.normalize("NFKD", text)
     return "".join(ch for ch in decomposed if not unicodedata.combining(ch))
 

@@ -14,6 +14,7 @@ bylines instead of index rows.
 
 from __future__ import annotations
 
+import functools
 import re
 
 from repro.errors import NameParseError
@@ -36,6 +37,12 @@ _ROMAN_CONFUSIONS = str.maketrans({"l": "I", "1": "I", "|": "I", "!": "I", "i": 
 
 _TRAILING_STUDENT = re.compile(r"\*\s*$")
 _COMMA_SPLIT = re.compile(r"\s*,\s*")
+
+#: How many distinct ``(raw, form)`` pairs :func:`parse_name` remembers.
+#: An index build parses every author string of every record, and authors
+#: repeat across records; :class:`PersonName` is frozen, so every caller
+#: can share one parsed value.
+PARSE_CACHE_SIZE = 1 << 14
 
 
 def _ocr_suffix(token: str) -> str | None:
@@ -94,7 +101,16 @@ def parse_name(raw: str, *, form: NameForm | None = None) -> PersonName:
     ------
     NameParseError
         If the string is empty or unparseable.
+
+    Results are cached per ``(raw, form)``, up to :data:`PARSE_CACHE_SIZE`
+    pairs; a :class:`NameParseError` is never cached, so bad input raises
+    on every call.
     """
+    return _parse_name(raw, form)
+
+
+@functools.lru_cache(maxsize=PARSE_CACHE_SIZE)
+def _parse_name(raw: str, form: NameForm | None) -> PersonName:
     original = raw
     text = strip_ocr_artifacts(raw)
     if not text:

@@ -142,6 +142,10 @@ class Schema:
         checkers = self._checkers
         known = self._by_name
         for record in records:
+            if not isinstance(record, dict):
+                # Fail (or pass) exactly as validate() does on odd input.
+                self.validate(record)
+                continue
             for name, required, ok in checkers:
                 value = record.get(name)
                 if value is None:

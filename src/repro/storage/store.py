@@ -1545,9 +1545,11 @@ class RecordStore:
                         "snapshot record count disagrees with its manifest "
                         "(corrupt snapshot; run `repro fsck` for details)"
                     )
+                self.schema.validate_many(records)
+                # The decoded dicts belong to no one else: keep them, uncopied.
+                primary_key_of = self.schema.primary_key_of
                 for record in records:
-                    self.schema.validate(record)
-                    self._records[self.schema.primary_key_of(record)] = dict(record)
+                    self._records[primary_key_of(record)] = record
                 for index_def in state.get("indexes", []):
                     if "fields" in index_def:
                         self.create_composite_index(index_def["fields"])

@@ -1,6 +1,8 @@
 """E1 — artifact fidelity: rebuild the WVLR author index and check it
 against ground truth transcribed from the printed artifact."""
 
+import hashlib
+
 import pytest
 
 from repro.core.builder import AuthorIndexBuilder, build_index
@@ -123,6 +125,27 @@ class TestPagination:
         assert "[Vol. 95:1365" in text
         assert "AUTHOR INDEX" in text
         assert "WEST VIRGINIA LAW REVIEW" in text
+
+
+class TestGoldenFacsimile:
+    """The rendered WVLR facsimile, pinned byte for byte.
+
+    The other checks compare the program's output with itself or spot-check
+    it; these digests catch any change to wrapping, collation or page
+    furniture that stays self-consistent.  Update them only for a change
+    that is meant to alter the printed text.
+    """
+
+    @pytest.mark.parametrize(
+        "paginated, digest",
+        [
+            (True, "1d7ff16b5107acfab6d334991a44642fc303886b779eff744826f530bb810082"),
+            (False, "62138ea23ae3ea697bbbb4d8ca7e960c06af4da94fd3862ebf809c7a02ed8af3"),
+        ],
+    )
+    def test_text_render_digest(self, index, paginated, digest):
+        text = index.render("text", paginated=paginated)
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
 
 
 class TestResolutionOnArtifact:

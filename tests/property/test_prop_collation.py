@@ -1,5 +1,7 @@
 """Property-based tests for collation and the index builder."""
 
+import dataclasses
+import itertools
 import string
 
 from hypothesis import given, settings
@@ -7,9 +9,16 @@ from hypothesis import strategies as st
 
 from repro.citation.model import Citation
 from repro.core.builder import build_index
-from repro.core.collation import CollationOptions, collation_key, sort_entries
+from repro.core.collation import (
+    CollationOptions,
+    collation_key,
+    given_sort_key,
+    sort_entries,
+    surname_sort_key,
+)
 from repro.core.entry import IndexEntry, PublicationRecord
-from repro.names.model import PersonName
+from repro.names.model import NameForm, PersonName
+from repro.names.normalize import strip_diacritics
 
 surnames = st.text(alphabet=string.ascii_letters + "'-", min_size=1, max_size=12).filter(
     lambda s: s.strip("'- ") != ""
@@ -70,6 +79,58 @@ class TestCollationProperties:
     ]))
     def test_key_is_deterministic(self, entry, options):
         assert collation_key(entry, options) == collation_key(entry, options)
+
+
+ALL_OPTIONS = [
+    CollationOptions(*flags) for flags in itertools.product([False, True], repeat=3)
+]
+
+
+def uncached_collation_key(entry, options):
+    """The row key computed from scratch, with no per-name cache."""
+    name = entry.author
+    key = [surname_sort_key(name.surname, options), given_sort_key(name)]
+    if not options.ignore_suffix:
+        key.append(name.suffix_rank)
+    if not options.ignore_student_flag:
+        key.append(1 if entry.is_student_work else 0)
+    key.append((entry.citation.volume, entry.citation.page, entry.citation.year))
+    key.append(strip_diacritics(entry.title).casefold())
+    key.append((name.inverted(student_marker=True), entry.title, entry.is_student_work))
+    return tuple(key)
+
+
+@st.composite
+def entries_sharing_names(draw):
+    """Rows over a few authors, as an index has: most names head several
+    rows, and some arrive as distinct objects that differ only in how the
+    source spelled them."""
+    honorifics = st.sampled_from(["", "", "Hon.", "Dr."])
+    pool = [
+        dataclasses.replace(name, honorific=draw(honorifics))
+        for name in draw(st.lists(names(), min_size=1, max_size=4))
+    ]
+    rows = []
+    for _ in range(draw(st.integers(min_value=1, max_value=12))):
+        author = draw(st.sampled_from(pool))
+        if draw(st.booleans()):
+            author = dataclasses.replace(
+                author, raw=author.inverted(), form=draw(st.sampled_from(list(NameForm)))
+            )
+        rows.append(dataclasses.replace(draw(entries()), author=author))
+    return rows
+
+
+class TestCachedCollationKey:
+    @given(entries_sharing_names())
+    @settings(max_examples=80, deadline=None)
+    def test_cached_key_matches_uncached(self, items):
+        for options in ALL_OPTIONS:
+            for entry in items:
+                assert collation_key(entry, options) == uncached_collation_key(entry, options)
+            assert sort_entries(items, options) == sorted(
+                items, key=lambda e: uncached_collation_key(e, options)
+            )
 
 
 @st.composite

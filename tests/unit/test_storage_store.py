@@ -1,5 +1,7 @@
 """Unit tests for repro.storage.store — CRUD, indexes, durability."""
 
+import json
+
 import pytest
 
 from repro.errors import (
@@ -239,6 +241,35 @@ class TestDurability:
         with RecordStore(simple_schema, tmp_path / "db") as reopened:
             assert reopened.index_kind("name") is IndexKind.HASH
             assert [r["id"] for r in reopened.find_by("name", "a")] == [1]
+
+    @pytest.mark.parametrize(
+        "corrupt, field",
+        [
+            (lambda rs: rs[1].update(year="1990"), "year"),
+            (lambda rs: rs[1].pop("name"), "name"),
+            (lambda rs: rs[1].update(extra=1), "extra"),
+            (lambda rs: rs.__setitem__(1, []), "id"),
+        ],
+        ids=["wrong-type", "missing-field", "unknown-field", "not-an-object"],
+    )
+    def test_snapshot_record_violating_schema_fails_reopen(
+        self, simple_schema, tmp_path, corrupt, field
+    ):
+        # Recovery validates every snapshot record; a record that breaks
+        # the schema must fail the open even when the manifest's record
+        # count still agrees with the snapshot.
+        with RecordStore(simple_schema, tmp_path / "db") as store:
+            store.insert(_record(1))
+            store.insert(_record(2))
+            store.snapshot()
+        snapshot = tmp_path / "db" / "snapshot.json"
+        state = json.loads(snapshot.read_text(encoding="utf-8"))
+        assert state["version"] == 2 and state["record_count"] == 2
+        corrupt(state["records"])
+        snapshot.write_text(json.dumps(state), encoding="utf-8")
+        with pytest.raises(ValidationError) as excinfo:
+            RecordStore(simple_schema, tmp_path / "db")
+        assert excinfo.value.field == field
 
     def test_in_memory_cannot_snapshot(self, memory_store):
         with pytest.raises(StorageError):
