@@ -12,13 +12,11 @@ everything needed to diagnose the query after the fact::
      "profile": {"op": "sort", ...}}
 
 ``trace_id`` is the id bound when the query ran (see
-:mod:`repro.obs.logging`), so the entry joins the query's span tree and
-its log lines.  ``profile`` is the EXPLAIN ANALYZE operator tree; when
-the slow query ran unprofiled, :class:`~repro.query.executor.QueryEngine`
-re-executes its plan profiled to attach one (the entry is then marked
-``"profile_reexecuted": true`` — the extra cost is paid only for queries
-already over the threshold, the same trade MySQL's slow log makes with
-auto-EXPLAIN).
+:mod:`repro.obs.logging`), so the entry joins the query's log lines and,
+if it ran profiled, its span tree.  ``profile`` is the operator tree of
+that slow run, which the query engines hand over: per-operator row
+counts always, per-operator times when the caller profiled.  A slow
+query is never run a second time to get a tree.
 
 Entries land in an in-memory ring (:meth:`SlowQueryLog.entries`) and,
 when the log has a ``path``, in a JSONL file with size-based rotation:
@@ -79,9 +77,6 @@ class SlowQueryLog:
         Rotation policy for the JSONL file (see module docstring).
     capacity:
         In-memory ring size.
-    profile_on_slow:
-        Whether the query engine should re-execute an unprofiled slow
-        query with profiling to attach its operator tree.
     """
 
     def __init__(
@@ -92,7 +87,6 @@ class SlowQueryLog:
         max_bytes: int = DEFAULT_MAX_BYTES,
         keep: int = DEFAULT_KEEP,
         capacity: int = 128,
-        profile_on_slow: bool = True,
     ):
         if threshold_s < 0:
             raise ValueError(f"threshold_s must be >= 0, got {threshold_s}")
@@ -102,7 +96,6 @@ class SlowQueryLog:
         self.threshold_s = float(threshold_s)
         self.max_bytes = int(max_bytes)
         self.keep = int(keep)
-        self.profile_on_slow = profile_on_slow
         self._ring: deque[dict[str, Any]] = deque(maxlen=capacity)
         self._lock = threading.Lock()
         if self.path is not None:
@@ -117,7 +110,6 @@ class SlowQueryLog:
         rows: int,
         seconds: float,
         profile: Any = None,
-        reexecuted: bool = False,
         trace_id: str | None = None,
         fingerprint: str | None = None,
     ) -> dict[str, Any]:
@@ -144,8 +136,6 @@ class SlowQueryLog:
             entry["fingerprint"] = fingerprint
         if profile is not None:
             entry["profile"] = profile.to_dict() if hasattr(profile, "to_dict") else profile
-        if reexecuted:
-            entry["profile_reexecuted"] = True
         self._ring.append(entry)
         _SLOW_COUNT.inc()
         _logging.warn(

@@ -1,8 +1,9 @@
 """Query executor: run planned queries against a record store.
 
-The executor is deliberately small: the access path yields candidate
-records, the residual expression filters them, and ORDER BY / LIMIT shape
-the output.  Records coming from list-field index probes are de-duplicated
+A plan compiles into one chain of physical operators — the access path,
+then filter, aggregate, sort and limit as the query needs them — each a
+:class:`PhysicalOp` that pulls rows from its child and counts the rows
+it reads.  Records coming from list-field index probes are de-duplicated
 by primary key (a list may contain the probe value twice).
 
 :class:`QueryEngine` is the public entry point::
@@ -11,15 +12,18 @@ by primary key (a list may contain the probe value twice).
     rows = engine.execute('author:"McAteer" AND year >= 1978')
     print(engine.explain('year >= 1978'))
 
-``execute(..., profile=True)`` is the ``EXPLAIN ANALYZE`` surface: instead
-of a bare row list it returns a :class:`QueryProfile` whose operator tree
-annotates every node (seq-scan, index lookups/ranges, filter, aggregate,
-sort, limit) with wall time, CPU time (``time.thread_time_ns``), bytes
-touched (sampled estimate), and rows-examined/rows-returned counts.
-Profiled execution materializes stage by stage so each node's cost is
-attributable; the unprofiled path stays streaming and is instrumented only
-with bulk counters (``query.executions``, ``query.rows.returned``) and a
-latency histogram (``query.seconds``).
+Plain and profiled runs share that one chain, so they share every query
+semantic.  A plain run streams rows through it.  ``execute(...,
+profile=True)`` is the ``EXPLAIN ANALYZE`` surface: the driver
+materializes each operator's output in turn and times it, and the call
+returns a :class:`QueryProfile` whose operator tree annotates every
+node (seq-scan, index lookups/ranges, filter, aggregate, sort, limit)
+with wall time, CPU time (``time.thread_time_ns``), bytes touched
+(sampled estimate), and rows-examined/rows-returned counts.  The row
+counts are there after a plain run too, which is what a slow-log entry
+stores.  Every run, plain or profiled, counts once in
+``query.executions``, ``query.rows.examined``, ``query.rows.returned``
+and the ``query.seconds`` histogram.
 
 Every execution (profiled or not) is additionally attributed to its query
 *fingerprint* (:mod:`repro.query.fingerprint`) in the process-wide
@@ -40,9 +44,9 @@ import json
 import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
-from dataclasses import dataclass
-from itertools import islice
-from typing import TYPE_CHECKING, Any, Iterator
+from dataclasses import dataclass, replace
+from itertools import chain, islice
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator
 
 from repro.errors import (
     BudgetExceeded,
@@ -76,6 +80,7 @@ from repro.query.planner import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.storage.schema import Schema
     from repro.storage.sharded import ShardedStore
     from repro.storage.store import RecordStore
 
@@ -127,19 +132,12 @@ def _record_bytes(record: dict[str, Any]) -> int:
     return total
 
 
-def _estimate_bytes(rows: list[dict[str, Any]], count: int | None = None) -> int:
-    """Estimated bytes across ``count`` rows, sampled from ``rows``.
-
-    The first few rows are measured and the average extrapolated, so the
-    cost is constant regardless of result size — good enough for skew
-    and attribution, not an accounting-grade number.
-    """
-    if count is None:
-        count = len(rows)
-    if not rows or count <= 0:
-        return 0
+def _avg_row_bytes(rows: list[dict[str, Any]]) -> float:
+    """Average byte estimate of ``rows``, measured on the first few only —
+    constant cost regardless of result size, good enough for skew and
+    attribution, not an accounting-grade number."""
     sample = rows[:_BYTES_SAMPLE]
-    return int(sum(_record_bytes(r) for r in sample) / len(sample) * count)
+    return sum(_record_bytes(r) for r in sample) / len(sample) if sample else 0.0
 
 
 def _interruption_kind(exc: QueryInterrupted) -> str:
@@ -147,9 +145,7 @@ def _interruption_kind(exc: QueryInterrupted) -> str:
         return "timeout"
     if isinstance(exc, BudgetExceeded):
         return "budget"
-    if isinstance(exc, QueryCancelled):
-        return "cancelled"
-    return "cancelled"  # unknown subclass: closest bucket
+    return "cancelled"  # QueryCancelled, or an unknown subclass: closest bucket
 
 
 @dataclass(frozen=True, slots=True)
@@ -161,7 +157,8 @@ class OpProfile:
     it passed upward.  ``seconds`` is the node's own wall time, measured
     over the materialization of its output (children excluded);
     ``cpu_ns`` is the thread-CPU time of the same stage, and ``bytes``
-    the sampled byte estimate of the rows it handled.
+    the sampled byte estimate of the rows it handled.  The three are
+    measured on profiled runs only and stay 0 on the tree of a plain run.
     """
 
     op: str  #: "seq-scan" | "index-lookup" | … | "filter" | "sort" | "limit"
@@ -303,27 +300,394 @@ def _decode_cursor(cursor: str) -> tuple[Any, Any]:
     return sort_value, primary_key
 
 
-class QueryEngine:
-    """Plans and executes query strings (or pre-parsed :class:`Query`).
+def _parse(query: str | Query) -> Query:
+    if isinstance(query, Query):
+        return query
+    return parse_query(query)
 
-    Plans are memoized in a per-engine :class:`PlanCache` (LRU of
-    ``plan_cache_size`` entries, keyed on the parsed AST plus the store's
-    ``index_epoch``) — a repeated query skips the planner's rule search
-    entirely, and any index create/drop or bulk write retires every
-    cached plan by bumping the epoch.
 
-    Every :meth:`execute` runs under a trace ID (see
-    :func:`repro.obs.logging.trace`): its log events, its spans, and —
-    when a :class:`~repro.obs.slowlog.SlowQueryLog` is attached and the
-    query crosses the threshold — its slow-log entry all carry that one
-    ID.  A slow query that ran unprofiled is re-executed with profiling
-    (still under the same trace ID) so the slow-log entry gets an
-    EXPLAIN ANALYZE tree; the extra cost is paid only past the threshold.
+def _parse_filter(query: str | Query, what: str) -> Query:
+    """``query`` parsed, rejected unless it is a bare filter."""
+    parsed = _parse(query)
+    if parsed.group_by or parsed.order_by or parsed.limit is not None:
+        raise QueryPlanError(f"{what} accepts a bare filter (no GROUP BY/ORDER BY/LIMIT)")
+    return parsed
+
+
+def _make_guard(
+    guard: Guard | None,
+    timeout_s: float | None,
+    cancel: CancelToken | None,
+    max_rows: int | None,
+) -> Guard | None:
+    """``guard``, or one built from the convenience knobs when any is set."""
+    if guard is not None or (timeout_s is None and cancel is None and max_rows is None):
+        return guard
+    return Guard(
+        deadline=Deadline.after(timeout_s) if timeout_s is not None else None,
+        cancel=cancel,
+        max_rows=max_rows,
+    )
+
+
+def _check_fields(schema: "Schema", group_by: str | None, order_by: str | None) -> None:
+    """Reject GROUP BY / ORDER BY on fields the output rows cannot have."""
+    if group_by is not None and not schema.has_field(group_by):
+        raise QueryPlanError(f"cannot GROUP BY unknown field {group_by!r}")
+    if order_by is None:
+        return
+    if group_by is not None:
+        known = order_by in (group_by, "count")
+    else:
+        known = schema.has_field(order_by)
+    if not known:
+        raise QueryPlanError(f"cannot ORDER BY unknown field {order_by!r}")
+
+
+def _count_run(returned: int, examined: int, seconds: float) -> None:
+    """The per-execution registry counters, bumped once per run."""
+    _EXECUTIONS.inc()
+    _ROWS_EXAMINED.inc(examined)
+    _ROWS_RETURNED.inc(returned)
+    _QUERY_SECONDS.observe(seconds)
+
+
+def _record_slow(
+    slow_log: SlowQueryLog, query_text: str, trace_id: str, profile: "QueryProfile"
+) -> None:
+    """One slow-log entry carrying the operator tree of the run that just
+    happened (nothing is re-executed)."""
+    slow_log.record(
+        query=query_text,
+        plan=profile.plan_text,
+        plan_cached=profile.plan_cached,
+        rows=len(profile.rows),
+        seconds=profile.seconds,
+        profile=profile,
+        trace_id=trace_id,
+        fingerprint=profile.fingerprint,
+    )
+
+
+def _format_groups(counts: dict[Any, int], field: str) -> list[dict[str, Any]]:
+    """GROUP BY output rows ``{field: value, "count": n}``, sorted by value
+    for a deterministic default order."""
+    return [
+        {field: value, "count": count}
+        for value, count in sorted(counts.items(), key=lambda kv: _sort_key(kv[0]))
+    ]
+
+
+def _top_k(
+    rows: list[dict[str, Any]],
+    key: Callable[[dict[str, Any]], Any],
+    descending: bool,
+    limit: int | None,
+) -> list[dict[str, Any]]:
+    """``sorted(rows, key=key, reverse=descending)[:limit]``.
+
+    With a limit only ``limit`` rows are kept while scanning:
+    :func:`heapq.nsmallest` / :func:`heapq.nlargest` return exactly that
+    slice, ties in input order.
     """
+    if limit is None:
+        return sorted(rows, key=key, reverse=descending)
+    top = heapq.nlargest if descending else heapq.nsmallest
+    return top(limit, rows, key=key)
+
+
+class PhysicalOp:
+    """One physical operator of a query's execution chain.
+
+    Shaped like a Volcano-style ``QPop``: ``child`` feeds it rows, and
+    :meth:`apply` turns the child's output into this operator's output,
+    counting the rows it reads into ``rows_in`` inside the loop or list
+    it already has.  :func:`_drain` then settles each ``rows_out`` from
+    the parent's ``rows_in`` (the top operator's from the result), so a
+    plain run pays for no counting beyond those loops.  ``seconds``,
+    ``cpu_ns`` and ``bytes`` are measured on profiled runs only.  The
+    operator reads its clause from ``plan``.
+    """
+
+    __slots__ = ("child", "plan", "rows_in", "rows_out", "seconds", "cpu_ns", "bytes")
+
+    op = "?"
+
+    def __init__(self, child: "PhysicalOp | None", plan: Plan):
+        self.child = child
+        self.plan = plan
+        self.rows_in = self.rows_out = self.cpu_ns = self.bytes = 0
+        self.seconds = 0.0
+
+    def children(self) -> tuple["PhysicalOp", ...]:
+        return () if self.child is None else (self.child,)
+
+    def describe(self) -> str:
+        raise NotImplementedError
+
+    def apply(self, rows: Any, guard: Guard | None) -> Iterable[dict[str, Any]]:
+        """This operator's output, given its child's (``None`` for a leaf)."""
+        raise NotImplementedError
+
+    def run(self, guard: Guard | None, profile: bool) -> Iterable[dict[str, Any]]:
+        """Output of the chain under this operator.
+
+        A plain run chains the operators' streams; a profiled run
+        materializes the child's output first, then this operator's, and
+        times only its own stage.
+        """
+        rows = None if self.child is None else self.child.run(guard, profile)
+        if not profile:
+            return self.apply(rows, guard)
+        start = time.perf_counter()
+        cpu_start = time.thread_time_ns()
+        out = self.apply(rows, guard)
+        if not isinstance(out, list):
+            out = list(out)
+        self.seconds = time.perf_counter() - start
+        self.cpu_ns = time.thread_time_ns() - cpu_start
+        handled = out if rows is None else rows
+        self.bytes = int(_avg_row_bytes(handled) * len(handled))
+        return out
+
+    @property
+    def examined(self) -> int:
+        """Rows the chain's access path examined (settled after a run)."""
+        op = self
+        while op.child is not None:
+            op = op.child
+        return op.rows_in
+
+    def profile(self) -> OpProfile:
+        """The counters of this operator and those below it, as a tree."""
+        return OpProfile(
+            op=self.op,
+            detail=self.describe(),
+            rows_examined=self.rows_in,
+            rows_returned=self.rows_out,
+            seconds=self.seconds,
+            children=tuple(child.profile() for child in self.children()),
+            cpu_ns=self.cpu_ns,
+            bytes=self.bytes,
+        )
+
+
+class _Access(PhysicalOp):
+    """Candidate records from the plan's access path; the store ticks the
+    guard once per record it examines."""
+
+    __slots__ = ("store",)
+
+    def __init__(self, store: Any, plan: Plan):
+        super().__init__(None, plan)
+        self.store = store
+
+    @property
+    def op(self) -> str:  # type: ignore[override]
+        return self.plan.access.op
+
+    def describe(self) -> str:
+        return self.plan.access.describe()
+
+    def apply(self, rows: Any, guard: Guard | None) -> Iterator[dict[str, Any]]:
+        if guard is not None:
+            # Fail fast on a pre-expired deadline or pre-cancelled token
+            # instead of after the first check stride.
+            guard.check()
+        return _candidates(self.store, self.plan.access, guard)
+
+
+class _Filter(PhysicalOp):
+    __slots__ = ()
+    op = "filter"
+
+    def describe(self) -> str:
+        return str(self.plan.residual)
+
+    def apply(self, rows: Any, guard: Guard | None) -> Iterator[dict[str, Any]]:
+        evaluate = self.plan.residual.evaluate
+        n = 0
+        for row in rows:
+            n += 1
+            if evaluate(row):
+                self.rows_in = n  # current at every yield: a LIMIT may stop pulling
+                yield row
+        self.rows_in = n
+
+
+class _Aggregate(PhysicalOp):
+    """GROUP BY COUNT; a list field counts each of its elements."""
+
+    __slots__ = ()
+    op = "aggregate"
+
+    def describe(self) -> str:
+        return f"GROUP BY {self.plan.group_by} (COUNT)"
+
+    def apply(self, rows: Any, guard: Guard | None) -> list[dict[str, Any]]:
+        field = self.plan.group_by
+        counts: dict[Any, int] = {}
+        n = 0
+        for row in rows:
+            n += 1
+            value = row.get(field)
+            if value is None:
+                continue
+            for v in value if isinstance(value, list) else (value,):
+                counts[v] = counts.get(v, 0) + 1
+        self.rows_in = n
+        return _format_groups(counts, field)
+
+
+class _Sort(PhysicalOp):
+    """ORDER BY, taking the LIMIT so only the top ``limit`` rows are kept
+    (see :func:`_top_k`).  ``key`` overrides the ORDER BY value key."""
+
+    __slots__ = ("key",)
+    op = "sort"
+
+    def __init__(self, child: PhysicalOp, plan: Plan, key: Callable | None = None):
+        super().__init__(child, plan)
+        field = plan.order_by
+        self.key = key if key is not None else (lambda r: _sort_key(r.get(field)))
+
+    def describe(self) -> str:
+        return f"ORDER BY {self.plan.order_by} {'DESC' if self.plan.descending else 'ASC'}"
+
+    def apply(self, rows: Any, guard: Guard | None) -> list[dict[str, Any]]:
+        rows = list(rows)
+        self.rows_in = len(rows)
+        return _top_k(rows, self.key, self.plan.descending, self.plan.limit)
+
+
+class _Limit(PhysicalOp):
+    __slots__ = ()
+    op = "limit"
+
+    def describe(self) -> str:
+        return f"LIMIT {self.plan.limit}"
+
+    def apply(self, rows: Any, guard: Guard | None) -> list[dict[str, Any]]:
+        if isinstance(rows, list):
+            self.rows_in = len(rows)
+            return rows[: self.plan.limit]
+        out = list(islice(rows, self.plan.limit))
+        self.rows_in = len(out)
+        return out
+
+
+def _candidates(
+    store: Any, access: Any, guard: Guard | None
+) -> Iterator[dict[str, Any]]:
+    """Records from ``store`` along one access path, each record once."""
+    if isinstance(access, FullScan):
+        # The store's scan loop charges every record examined
+        # (predicate-filtered ones included) to the guard so huge
+        # scans stay interruptible.
+        yield from store.scan(guard=guard)
+        return
+    # The index reads charge every record they fetch to the guard,
+    # before fetching it, so a deadline or row budget stops them too.
+    if isinstance(access, IndexLookup):
+        yield from store.find_by(access.field, access.value, guard=guard)
+        return
+    if isinstance(access, CompositeLookup):
+        yield from store.find_by_composite(access.fields, access.values, guard=guard)
+        return
+    if isinstance(access, CompositeRange):
+        yield from store.range_by_composite(
+            access.fields,
+            access.prefix,
+            access.low,
+            access.high,
+            include_low=access.include_low,
+            include_high=access.include_high,
+            guard=guard,
+        )
+        return
+    if isinstance(access, IndexMultiLookup):
+        records: Iterable[dict[str, Any]] = chain.from_iterable(
+            store.find_by(access.field, value, guard=guard) for value in access.values
+        )
+    elif isinstance(access, IndexRange):
+        records = store.range_by(
+            access.field,
+            access.low,
+            access.high,
+            include_low=access.include_low,
+            include_high=access.include_high,
+            guard=guard,
+        )
+    else:  # pragma: no cover
+        raise QueryPlanError(f"unknown access path {access!r}")
+    # A list field can match several probe values (or range keys) in
+    # one record: yield each record once, by primary key.
+    seen: set[Any] = set()
+    primary_key_of = store.schema.primary_key_of
+    for record in records:
+        key = primary_key_of(record)
+        if key not in seen:
+            seen.add(key)
+            yield record
+
+
+def _compile(store: Any, plan: Plan, sort_key: Callable | None = None) -> PhysicalOp:
+    """The operator chain for ``plan`` over ``store``; returns its top
+    operator.  ``sort_key`` overrides the sort's ORDER BY value key."""
+    _check_fields(store.schema, plan.group_by, plan.order_by)
+    top: PhysicalOp = _Access(store, plan)
+    if plan.residual is not None:
+        top = _Filter(top, plan)
+    if plan.group_by is not None:
+        top = _Aggregate(top, plan)
+    if plan.order_by is not None:
+        top = _Sort(top, plan, sort_key)
+    if plan.limit is not None:
+        top = _Limit(top, plan)
+    return top
+
+
+def _drain(
+    top: PhysicalOp, guard: Guard | None, profile: bool = False
+) -> list[dict[str, Any]]:
+    """Run the chain under ``top`` to the end and settle its counters.
+
+    Each operator's output is exactly what its parent read, so
+    ``rows_out`` comes from the parent's ``rows_in``, and the access
+    path's ``rows_in`` (rows examined) from its own output.
+    """
+    rows = top.run(guard, profile)
+    out = rows if isinstance(rows, list) else list(rows)
+    top.rows_out = len(out)
+    op = top
+    while op.child is not None:
+        op.child.rows_out = op.rows_in
+        op = op.child
+    op.rows_in = op.rows_out
+    return out
+
+
+class _Engine:
+    """The execution skeleton both query engines share.
+
+    :meth:`_execute` binds a trace ID (see
+    :func:`repro.obs.logging.trace`), parses, takes the plan from the
+    per-engine :class:`PlanCache`, runs it through the engine's
+    ``_run(plan, guard, profile, plan_cached, fingerprint, partial)`` —
+    which returns ``(rows, rows examined, seconds, tree)``, ``tree()``
+    building the run's :class:`QueryProfile` — and then attributes the
+    execution to its fingerprint, logs it at debug level, and records a
+    slow-log entry holding the operator tree of that same run.
+    """
+
+    #: Whether executions sample this thread's CPU clock (a scatter's
+    #: CPU burns on worker threads, invisible to it).
+    _samples_cpu = True
+    _log_event = "query.execute"
 
     def __init__(
         self,
-        store: "RecordStore",
+        store: Any,
         *,
         plan_cache_size: int = 256,
         slow_log: SlowQueryLog | None = None,
@@ -341,6 +705,123 @@ class QueryEngine:
         # a single attribute decrement on the per-execution path.
         self._probe = 0  # executions until the next thread-CPU sample
         self._bytes_rounds = 0  # sample trips until the next byte resample
+
+    def _log_fields(self, out: list[dict[str, Any]]) -> dict[str, Any]:
+        return {}
+
+    def _execute(
+        self,
+        query: str | Query,
+        *,
+        profile: bool,
+        guard: Guard | None,
+        partial: bool = False,
+    ) -> list[dict[str, Any]] | QueryProfile:
+        with _logging.trace() as trace_id:
+            parsed = _parse(query)
+            plan, fp, template, cached = self.plan_cache.get_or_plan_fingerprinted(
+                parsed, self.store
+            )
+            query_text = query if isinstance(query, str) else str(query)
+            if not _WORKLOAD_TABLE.enabled:
+                fp = None
+            # Thread-CPU clock reads are sampled (see _CPU_SAMPLE_EVERY);
+            # cpu_start = -1 marks an unsampled execution.
+            cpu_start = -1
+            if fp is not None and self._samples_cpu:
+                if profile:
+                    cpu_start = time.thread_time_ns()
+                else:
+                    self._probe -= 1
+                    if self._probe < 0:
+                        self._probe = _CPU_SAMPLE_EVERY - 1
+                        cpu_start = time.thread_time_ns()
+            start = time.perf_counter()
+            try:
+                out, examined, seconds, tree = self._run(
+                    plan, guard, profile, cached, fp, partial
+                )
+            except QueryInterrupted as exc:
+                if fp is not None:
+                    _RECORD_PACKED((
+                        fp, template, 0, exc.rows_examined,
+                        time.thread_time_ns() - cpu_start if cpu_start >= 0 else -1,
+                        time.perf_counter() - start,
+                        0, cached, _interruption_kind(exc), False, None,
+                    ))
+                raise
+            slow = self.slow_log
+            logged = slow is not None and seconds >= slow.threshold_s
+            result = tree() if profile or logged else None
+            if profile:
+                _PROFILED.inc()
+            rows = len(out)
+            if fp is not None:
+                cpu_ns = -1
+                if cpu_start >= 0:
+                    cpu_ns = time.thread_time_ns() - cpu_start
+                    # A sample trip also ticks the byte-estimate
+                    # resample countdown (see _BYTES_REFRESH).
+                    self._bytes_rounds -= 1
+                if out and (profile or not self._samples_cpu or self._bytes_rounds < 0):
+                    self._refresh_bytes_per_row(out)
+                # Packed positional form of WorkloadTable.record — one
+                # deque append per execution (see record_packed); the
+                # common successful path uses the short 8-slot shape.
+                record = (
+                    fp, template, rows, examined, cpu_ns, seconds,
+                    examined * self._bytes_per_row, cached,
+                )
+                if profile:
+                    nodes = [n.workload_node() for n in result.root.iter_nodes()]
+                    record += (None, False, nodes)
+                _RECORD_PACKED(record)
+            if _logging.would_log("debug"):
+                _logging.debug(
+                    self._log_event,
+                    query=query_text,
+                    access=plan.access.op,
+                    plan_cached=cached,
+                    fingerprint=fp,
+                    rows=rows,
+                    seconds=round(seconds, 6),
+                    profiled=profile,
+                    **self._log_fields(out),
+                )
+            if logged:
+                _record_slow(slow, query_text, trace_id, result)
+            return result if profile else out
+
+    def _refresh_bytes_per_row(self, out_rows: list[dict[str, Any]]) -> None:
+        """Resample the cached per-row byte estimate from live rows.
+
+        Sampling rows on every execution would dominate the attribution
+        budget on sub-100µs queries; instead the first execution (and
+        every :data:`_BYTES_REFRESH`\\ th after it) samples its result
+        rows, and the rest extrapolate from the cached average inline at
+        the record site.
+        """
+        self._bytes_per_row = _avg_row_bytes(out_rows)
+        self._bytes_rounds = _BYTES_REFRESH // _CPU_SAMPLE_EVERY
+
+
+class QueryEngine(_Engine):
+    """Plans and executes query strings (or pre-parsed :class:`Query`).
+
+    Plans are memoized in a per-engine :class:`PlanCache` (LRU of
+    ``plan_cache_size`` entries, keyed on the parsed AST plus the store's
+    ``index_epoch``) — a repeated query skips the planner's rule search
+    entirely, and any index create/drop or bulk write retires every
+    cached plan by bumping the epoch.
+
+    Every :meth:`execute` runs under a trace ID (see
+    :func:`repro.obs.logging.trace`): its log events, its spans, and —
+    when a :class:`~repro.obs.slowlog.SlowQueryLog` is attached and the
+    query crosses the threshold — its slow-log entry all carry that one
+    ID.  The slow-log entry holds the operator tree of the run itself:
+    per-operator rows always, per-operator times when the caller asked
+    for ``profile=True``.  A slow query is never run a second time.
+    """
 
     # -- public API ---------------------------------------------------------
 
@@ -369,175 +850,90 @@ class QueryEngine:
         partial EXPLAIN ANALYZE tree as ``exc.partial``.  An explicit
         ``guard`` takes precedence over the knobs.
         """
-        if guard is None and (
-            timeout_s is not None or cancel is not None or max_rows is not None
-        ):
-            guard = Guard(
-                deadline=Deadline.after(timeout_s) if timeout_s is not None else None,
-                cancel=cancel,
-                max_rows=max_rows,
-            )
+        guard = _make_guard(guard, timeout_s, cancel, max_rows)
         try:
             return self._execute(query, profile=profile, guard=guard)
         except Exception:
             _FAILURES.inc()
             raise
 
-    def _execute(
+    def _run(
         self,
-        query: str | Query,
-        *,
-        profile: bool,
+        plan: Plan,
         guard: Guard | None,
-    ) -> list[dict[str, Any]] | QueryProfile:
-        with _logging.trace() as trace_id:
-            parsed = self._parse(query)
-            plan, fp, template, cached = self.plan_cache.get_or_plan_fingerprinted(
-                parsed, self.store
-            )
-            query_text = query if isinstance(query, str) else str(query)
-            if not _WORKLOAD_TABLE.enabled:
-                fp = None
-            # Thread-CPU clock reads are sampled (see _CPU_SAMPLE_EVERY);
-            # cpu_start = -1 marks an unsampled execution.
-            cpu_start = -1
-            if fp is not None:
-                if profile:
-                    cpu_start = time.thread_time_ns()
-                else:
-                    self._probe -= 1
-                    if self._probe < 0:
-                        self._probe = _CPU_SAMPLE_EVERY - 1
-                        cpu_start = time.thread_time_ns()
-            start = time.perf_counter()
-            try:
-                if profile:
-                    result: QueryProfile = self.run_plan_profiled(
-                        plan, plan_cached=cached, guard=guard, fingerprint=fp
+        profile: bool,
+        plan_cached: bool,
+        fingerprint: str | None,
+        partial: bool,
+    ) -> tuple[list[dict[str, Any]], int, float, Callable[[], QueryProfile]]:
+        top = _compile(self.store, plan)
+        pstats = PageStats()
+        start = time.perf_counter()
+        if not profile:
+            out = self.run_plan(top, guard=guard)
+            seconds = time.perf_counter() - start
+        else:
+            # EXPLAIN ANALYZE: materialize and time each operator.  An
+            # interrupted run carries its partial tree as exc.partial.
+            with _tracing.span(
+                "query.execute", access=plan.access.op, profiled=True
+            ) as qspan:
+                trace_id = _logging.current_trace_id()
+                if trace_id is not None:
+                    qspan.set_attribute("trace_id", trace_id)
+                if fingerprint is not None:
+                    qspan.set_attribute("fingerprint", fingerprint)
+                try:
+                    with page_stats_scope(pstats):
+                        out = _drain(top, guard, profile=True)
+                except QueryInterrupted as exc:
+                    seconds = time.perf_counter() - start
+                    root = OpProfile(
+                        op=plan.access.op,
+                        detail=f"{plan.access.describe()} [interrupted: {type(exc).__name__}]",
+                        rows_examined=exc.rows_examined,
+                        rows_returned=0,
+                        seconds=seconds,
                     )
-                    rows, seconds = len(result.rows), result.seconds
-                    ran_profile: QueryProfile | None = result
-                else:
-                    plain = self.run_plan(plan, guard=guard)
-                    rows, seconds = len(plain), time.perf_counter() - start
-                    ran_profile = None
-            except QueryInterrupted as exc:
-                if fp is not None:
-                    _RECORD_PACKED((
-                        fp, template, 0, exc.rows_examined,
-                        time.thread_time_ns() - cpu_start if cpu_start >= 0 else -1,
-                        time.perf_counter() - start,
-                        0, cached, _interruption_kind(exc), False, None,
-                    ))
-                raise
-            if fp is not None:
-                if guard is not None:
-                    examined = guard.rows_examined
-                elif isinstance(plan.access, FullScan):
-                    examined = len(self.store)
-                else:
-                    examined = rows
-                if cpu_start < 0:
-                    cpu_ns = -1
-                else:
-                    cpu_ns = time.thread_time_ns() - cpu_start
-                    # A sample trip also ticks the byte-estimate
-                    # resample countdown (see _BYTES_REFRESH).
-                    if not profile:
-                        self._bytes_rounds -= 1
-                        if self._bytes_rounds < 0 and plain:
-                            self._refresh_bytes_per_row(plain)
-                # Packed positional form of WorkloadTable.record — one
-                # deque append per execution (see record_packed); the
-                # common successful path uses the short 8-slot shape.
-                if profile:
-                    if result.rows:
-                        self._refresh_bytes_per_row(result.rows)
-                    _RECORD_PACKED((
-                        fp, template, rows, examined, cpu_ns, seconds,
-                        examined * self._bytes_per_row, cached, None, False,
-                        [n.workload_node() for n in result.root.iter_nodes()],
-                    ))
-                else:
-                    _RECORD_PACKED((
-                        fp, template, rows, examined, cpu_ns, seconds,
-                        examined * self._bytes_per_row, cached,
-                    ))
-            if _logging.would_log("debug"):
-                _logging.debug(
-                    "query.execute",
-                    query=query_text,
-                    access=plan.access.op,
-                    plan_cached=cached,
-                    fingerprint=fp,
-                    rows=rows,
-                    seconds=round(seconds, 6),
-                    profiled=profile,
-                )
-            self._maybe_slow_log(
-                query_text, plan, cached, rows, seconds, ran_profile, trace_id, fp
+                    exc.partial = QueryProfile(
+                        rows=[],
+                        root=root,
+                        plan_text=plan.explain(),
+                        seconds=seconds,
+                        plan_cached=plan_cached,
+                        fingerprint=fingerprint,
+                    )
+                    raise
+                seconds = time.perf_counter() - start
+                _count_run(len(out), top.examined, seconds)
+                qspan.set_attribute("rows", len(out))
+                if pstats.hits or pstats.misses:
+                    qspan.set_attribute("page_hits", pstats.hits)
+                    qspan.set_attribute("page_misses", pstats.misses)
+
+        def tree() -> QueryProfile:
+            return QueryProfile(
+                rows=out,
+                root=top.profile(),
+                plan_text=plan.explain(),
+                seconds=seconds,
+                plan_cached=plan_cached,
+                fingerprint=fingerprint,
+                page_hits=pstats.hits,
+                page_misses=pstats.misses,
             )
-            return result if profile else plain
+
+        return out, top.examined, seconds, tree
 
     def explain(self, query: str | Query) -> str:
         """The plan that :meth:`execute` would use, as text."""
-        parsed = self._parse(query)
-        plan, _ = self._plan(parsed)
+        parsed = _parse(query)
+        plan, _ = self.plan_cache.get_or_plan(parsed, self.store)
         return plan.explain()
-
-    def _plan(self, parsed: Query) -> tuple[Plan, bool]:
-        return self.plan_cache.get_or_plan(parsed, self.store)
-
-    def _refresh_bytes_per_row(self, out_rows: list[dict[str, Any]]) -> None:
-        """Resample the cached per-row byte estimate from live rows.
-
-        Sampling rows on every execution would dominate the attribution
-        budget on sub-100µs queries; instead the first execution (and
-        every :data:`_BYTES_REFRESH`\\ th after it) samples its result
-        rows, and the rest extrapolate from the cached average inline at
-        the record site.
-        """
-        sample = out_rows[:_BYTES_SAMPLE]
-        self._bytes_per_row = sum(_record_bytes(r) for r in sample) / len(sample)
-        self._bytes_rounds = _BYTES_REFRESH // _CPU_SAMPLE_EVERY
-
-    def _maybe_slow_log(
-        self,
-        query_text: str,
-        plan: Plan,
-        plan_cached: bool,
-        rows: int,
-        seconds: float,
-        profile: QueryProfile | None,
-        trace_id: str,
-        fingerprint: str | None = None,
-    ) -> None:
-        slow = self.slow_log
-        if slow is None or seconds < slow.threshold_s:
-            return
-        reexecuted = False
-        if profile is None and slow.profile_on_slow:
-            # Re-run profiled (same plan, same trace ID) so the entry has
-            # an operator tree; only queries already past the threshold pay.
-            profile = self.run_plan_profiled(
-                plan, plan_cached=plan_cached, fingerprint=fingerprint
-            )
-            reexecuted = True
-        slow.record(
-            query=query_text,
-            plan=plan.explain(),
-            plan_cached=plan_cached,
-            rows=rows,
-            seconds=seconds,
-            profile=profile,
-            reexecuted=reexecuted,
-            trace_id=trace_id,
-            fingerprint=fingerprint,
-        )
 
     def execute_without_indexes(self, query: str | Query) -> list[dict[str, Any]]:
         """Run ``query`` as a pure scan (the E3 baseline and test oracle)."""
-        parsed = self._parse(query)
+        parsed = _parse(query)
         plan = Plan(
             access=FullScan(),
             residual=parsed.where,
@@ -551,15 +947,9 @@ class QueryEngine:
 
     def count(self, query: str | Query) -> int:
         """Number of records matching ``query`` (ignores GROUP BY/LIMIT)."""
-        parsed = self._parse(query)
-        plan, _ = self._plan(Query(where=parsed.where))
-        total = 0
-        rows: Any = self._candidates(plan)
-        if plan.residual is not None:
-            rows = (r for r in rows if plan.residual.evaluate(r))
-        for _ in rows:
-            total += 1
-        return total
+        parsed = _parse(query)
+        plan, _ = self.plan_cache.get_or_plan(Query(where=parsed.where), self.store)
+        return sum(1 for _ in _compile(self.store, plan).run(None, False))
 
     def execute_paged(
         self, query: str | Query, *, page_size: int, cursor: str | None = None
@@ -575,18 +965,15 @@ class QueryEngine:
         """
         if page_size <= 0:
             raise QueryPlanError(f"page_size must be positive, got {page_size}")
-        parsed = self._parse(query)
+        parsed = _parse(query)
         if parsed.group_by is not None or parsed.limit is not None:
             raise QueryPlanError("paged queries must not use GROUP BY or LIMIT")
 
         pk_field = self.store.schema.primary_key
         order_field = parsed.order_by or pk_field
-        if not self.store.schema.has_field(order_field):
-            raise QueryPlanError(f"cannot ORDER BY unknown field {order_field!r}")
-        plan, _ = self._plan(Query(where=parsed.where))
-        rows: Any = self._candidates(plan)
-        if plan.residual is not None:
-            rows = (r for r in rows if plan.residual.evaluate(r))
+        _check_fields(self.store.schema, None, order_field)
+        plan, _ = self.plan_cache.get_or_plan(Query(where=parsed.where), self.store)
+        rows = _compile(self.store, plan).run(None, False)
 
         def row_key(record: dict[str, Any]) -> tuple:
             return (
@@ -594,20 +981,19 @@ class QueryEngine:
                 _sort_key(record.get(pk_field)),
             )
 
-        ordered = sorted(rows, key=row_key, reverse=parsed.descending)
-        start = 0
         if cursor is not None:
             after_value, after_pk = _decode_cursor(cursor)
-            after_key = (_sort_key(after_value), _sort_key(after_pk))
-            for start, record in enumerate(ordered):
-                this_key = row_key(record)
-                if (this_key > after_key) != parsed.descending and this_key != after_key:
-                    break
+            after = (_sort_key(after_value), _sort_key(after_pk))
+            if parsed.descending:
+                rows = (r for r in rows if row_key(r) < after)
             else:
-                start = len(ordered)
-        page_rows = ordered[start : start + page_size]
+                rows = (r for r in rows if row_key(r) > after)
+        # The key is total (primary-key tiebreak); one row past the page
+        # tells whether another page follows.
+        ordered = _top_k(list(rows), row_key, parsed.descending, page_size + 1)
+        page_rows = ordered[:page_size]
         next_cursor = None
-        if start + page_size < len(ordered) and page_rows:
+        if len(ordered) > page_size:
             last = page_rows[-1]
             next_cursor = _encode_cursor(last.get(order_field), last.get(pk_field))
         return Page(rows=page_rows, next_cursor=next_cursor)
@@ -618,315 +1004,25 @@ class QueryEngine:
         GROUP BY / ORDER BY / LIMIT clauses are rejected — a destructive
         operation must not depend on presentation clauses.
         """
-        parsed = self._parse(query)
-        if parsed.group_by or parsed.order_by or parsed.limit is not None:
-            raise QueryPlanError(
-                "DELETE accepts a bare filter (no GROUP BY/ORDER BY/LIMIT)"
-            )
+        parsed = _parse_filter(query, "DELETE")
         return self.store.delete_where(parsed.matches)
 
-    def run_plan(self, plan: Plan, *, guard: Guard | None = None) -> list[dict[str, Any]]:
-        """Execute a :class:`Plan` produced by the planner.
+    def run_plan(
+        self, plan: Plan | PhysicalOp, *, guard: Guard | None = None
+    ) -> list[dict[str, Any]]:
+        """Execute a :class:`Plan` produced by the planner, unprofiled.
 
-        ``guard`` bounds the execution (deadline / cancellation / row
-        budget), ticked once per candidate row the access path examines.
+        Rows stream through the plan's operator chain.  ``plan`` may also
+        be a chain already compiled from a plan, whose per-operator
+        counters the caller reads afterwards.  ``guard`` bounds the
+        execution (deadline / cancellation / row budget), ticked once per
+        candidate row the access path examines.
         """
         start = time.perf_counter()
-        if guard is not None:
-            # Fail fast on a pre-expired deadline or pre-cancelled token
-            # instead of after the first check stride.
-            guard.check()
-        rows = self._candidates(plan, guard)
-        if plan.residual is not None:
-            residual = plan.residual
-            rows = (r for r in rows if residual.evaluate(r))
-        if plan.group_by is not None:
-            rows = iter(self._aggregate(rows, plan.group_by))
-        if plan.order_by is not None:
-            self._check_order_field(plan)
-            field = plan.order_by
-            materialized = sorted(
-                rows,
-                key=lambda r: _sort_key(r.get(field)),
-                reverse=plan.descending,
-            )
-            rows = iter(materialized)
-        if plan.limit is not None:
-            out: list[dict[str, Any]] = []
-            for record in rows:
-                if len(out) == plan.limit:
-                    break
-                out.append(record)
-        else:
-            out = list(rows)
-        _EXECUTIONS.inc()
-        _ROWS_RETURNED.inc(len(out))
-        _QUERY_SECONDS.observe(time.perf_counter() - start)
+        top = plan if isinstance(plan, PhysicalOp) else _compile(self.store, plan)
+        out = _drain(top, guard)
+        _count_run(len(out), top.examined, time.perf_counter() - start)
         return out
-
-    def run_plan_profiled(
-        self,
-        plan: Plan,
-        *,
-        plan_cached: bool = False,
-        guard: Guard | None = None,
-        fingerprint: str | None = None,
-    ) -> QueryProfile:
-        """Execute ``plan`` stage by stage, timing and counting each node.
-
-        Unlike :meth:`run_plan` this materializes every stage so each
-        operator's cost is attributable; results are identical.
-        ``plan_cached`` is recorded in the profile so EXPLAIN ANALYZE
-        shows whether the plan came from the cache, and ``fingerprint``
-        (when known) is stamped on the profile and its span.  When a
-        ``guard`` interrupts the run, the partial operator tree built so
-        far is attached to the raised error as ``exc.partial`` before it
-        propagates.
-        """
-        total_start = time.perf_counter()
-        try:
-            return self._run_plan_profiled(
-                plan,
-                plan_cached=plan_cached,
-                guard=guard,
-                total_start=total_start,
-                fingerprint=fingerprint,
-            )
-        except QueryInterrupted as exc:
-            seconds = time.perf_counter() - total_start
-            root = OpProfile(
-                op=plan.access.op,
-                detail=f"{plan.access.describe()} [interrupted: {type(exc).__name__}]",
-                rows_examined=exc.rows_examined,
-                rows_returned=0,
-                seconds=seconds,
-            )
-            exc.partial = QueryProfile(
-                rows=[],
-                root=root,
-                plan_text=plan.explain(),
-                seconds=seconds,
-                plan_cached=plan_cached,
-                fingerprint=fingerprint,
-            )
-            raise
-
-    def _run_plan_profiled(
-        self,
-        plan: Plan,
-        *,
-        plan_cached: bool,
-        guard: Guard | None,
-        total_start: float,
-        fingerprint: str | None = None,
-    ) -> QueryProfile:
-        with _tracing.span("query.execute", access=plan.access.op, profiled=True) as qspan:
-            trace_id = _logging.current_trace_id()
-            if trace_id is not None:
-                qspan.set_attribute("trace_id", trace_id)
-            if fingerprint is not None:
-                qspan.set_attribute("fingerprint", fingerprint)
-            if guard is not None:
-                guard.check()
-            start = time.perf_counter()
-            cpu_start = time.thread_time_ns()
-            # Pool pages are only touched while the access path streams
-            # candidate records off the paged tree, so the attribution
-            # scope need not cover the later (pure in-memory) stages.
-            pstats = PageStats()
-            with page_stats_scope(pstats):
-                candidates = list(self._candidates(plan, guard))
-            examined = len(self.store) if isinstance(plan.access, FullScan) else len(candidates)
-            node = OpProfile(
-                op=plan.access.op,
-                detail=plan.access.describe(),
-                rows_examined=examined,
-                rows_returned=len(candidates),
-                seconds=time.perf_counter() - start,
-                cpu_ns=time.thread_time_ns() - cpu_start,
-                bytes=_estimate_bytes(candidates, examined),
-            )
-            rows = candidates
-            if plan.residual is not None:
-                residual = plan.residual
-                start = time.perf_counter()
-                cpu_start = time.thread_time_ns()
-                filtered = [r for r in rows if residual.evaluate(r)]
-                node = OpProfile(
-                    op="filter",
-                    detail=str(residual),
-                    rows_examined=len(rows),
-                    rows_returned=len(filtered),
-                    seconds=time.perf_counter() - start,
-                    cpu_ns=time.thread_time_ns() - cpu_start,
-                    bytes=_estimate_bytes(rows),
-                    children=(node,),
-                )
-                rows = filtered
-            if plan.group_by is not None:
-                start = time.perf_counter()
-                cpu_start = time.thread_time_ns()
-                grouped = self._aggregate(iter(rows), plan.group_by)
-                node = OpProfile(
-                    op="aggregate",
-                    detail=f"GROUP BY {plan.group_by} (COUNT)",
-                    rows_examined=len(rows),
-                    rows_returned=len(grouped),
-                    seconds=time.perf_counter() - start,
-                    cpu_ns=time.thread_time_ns() - cpu_start,
-                    bytes=_estimate_bytes(rows),
-                    children=(node,),
-                )
-                rows = grouped
-            if plan.order_by is not None:
-                self._check_order_field(plan)
-                order_field = plan.order_by
-                start = time.perf_counter()
-                cpu_start = time.thread_time_ns()
-                rows = sorted(
-                    rows,
-                    key=lambda r: _sort_key(r.get(order_field)),
-                    reverse=plan.descending,
-                )
-                node = OpProfile(
-                    op="sort",
-                    detail=f"ORDER BY {order_field} {'DESC' if plan.descending else 'ASC'}",
-                    rows_examined=len(rows),
-                    rows_returned=len(rows),
-                    seconds=time.perf_counter() - start,
-                    cpu_ns=time.thread_time_ns() - cpu_start,
-                    bytes=_estimate_bytes(rows),
-                    children=(node,),
-                )
-            if plan.limit is not None:
-                start = time.perf_counter()
-                cpu_start = time.thread_time_ns()
-                limited = rows[: plan.limit]
-                node = OpProfile(
-                    op="limit",
-                    detail=f"LIMIT {plan.limit}",
-                    rows_examined=len(rows),
-                    rows_returned=len(limited),
-                    seconds=time.perf_counter() - start,
-                    cpu_ns=time.thread_time_ns() - cpu_start,
-                    bytes=_estimate_bytes(limited),
-                    children=(node,),
-                )
-                rows = limited
-            _EXECUTIONS.inc()
-            _PROFILED.inc()
-            _ROWS_EXAMINED.inc(examined)  # base-table rows touched by the access path
-            _ROWS_RETURNED.inc(len(rows))
-            seconds = time.perf_counter() - total_start
-            _QUERY_SECONDS.observe(seconds)
-            qspan.set_attribute("rows", len(rows))
-            if pstats.hits or pstats.misses:
-                qspan.set_attribute("page_hits", pstats.hits)
-                qspan.set_attribute("page_misses", pstats.misses)
-            return QueryProfile(
-                rows=rows,
-                root=node,
-                plan_text=plan.explain(),
-                seconds=seconds,
-                plan_cached=plan_cached,
-                fingerprint=fingerprint,
-                page_hits=pstats.hits,
-                page_misses=pstats.misses,
-            )
-
-    def _check_order_field(self, plan: Plan) -> None:
-        field = plan.order_by
-        known = self.store.schema.has_field(field)
-        if plan.group_by is not None:
-            known = field in (plan.group_by, "count")
-        if not known:
-            raise QueryPlanError(f"cannot ORDER BY unknown field {field!r}")
-
-    def _aggregate(
-        self, rows: Iterator[dict[str, Any]], field: str
-    ) -> list[dict[str, Any]]:
-        """COUNT rows per distinct ``field`` value (list fields count each
-        element); output rows are ``{field: value, "count": n}`` sorted by
-        value for deterministic default order."""
-        if not self.store.schema.has_field(field):
-            raise QueryPlanError(f"cannot GROUP BY unknown field {field!r}")
-        counts: dict[Any, int] = {}
-        for row in rows:
-            value = row.get(field)
-            if value is None:
-                continue
-            values = value if isinstance(value, list) else [value]
-            for v in values:
-                counts[v] = counts.get(v, 0) + 1
-        return [
-            {field: value, "count": count}
-            for value, count in sorted(counts.items(), key=lambda kv: _sort_key(kv[0]))
-        ]
-
-    # -- candidates from the access path ------------------------------------------
-
-    def _candidates(
-        self, plan: Plan, guard: Guard | None = None
-    ) -> Iterator[dict[str, Any]]:
-        access = plan.access
-        if isinstance(access, FullScan):
-            # The store's scan loop charges every record examined
-            # (predicate-filtered ones included) to the guard so huge
-            # scans stay interruptible.
-            yield from self.store.scan(guard=guard)
-            return
-        # The index reads charge every record they fetch to the guard,
-        # before fetching it, so a deadline or row budget stops them too.
-        if isinstance(access, IndexLookup):
-            yield from self.store.find_by(access.field, access.value, guard=guard)
-            return
-        if isinstance(access, IndexMultiLookup):
-            seen: set[Any] = set()
-            for value in access.values:
-                for record in self.store.find_by(access.field, value, guard=guard):
-                    key = self.store.schema.primary_key_of(record)
-                    if key not in seen:
-                        seen.add(key)
-                        yield record
-            return
-        if isinstance(access, CompositeLookup):
-            yield from self.store.find_by_composite(
-                access.fields, access.values, guard=guard
-            )
-            return
-        if isinstance(access, CompositeRange):
-            yield from self.store.range_by_composite(
-                access.fields,
-                access.prefix,
-                access.low,
-                access.high,
-                include_low=access.include_low,
-                include_high=access.include_high,
-                guard=guard,
-            )
-            return
-        if isinstance(access, IndexRange):
-            seen: set[Any] = set()
-            for record in self.store.range_by(
-                access.field,
-                access.low,
-                access.high,
-                include_low=access.include_low,
-                include_high=access.include_high,
-                guard=guard,
-            ):
-                key = self.store.schema.primary_key_of(record)
-                if key not in seen:
-                    seen.add(key)
-                    yield record
-            return
-        raise QueryPlanError(f"unknown access path {access!r}")  # pragma: no cover
-
-    @staticmethod
-    def _parse(query: str | Query) -> Query:
-        if isinstance(query, Query):
-            return query
-        return parse_query(query)
 
 
 def _sort_key(value: Any) -> tuple[int, Any]:
@@ -1101,31 +1197,57 @@ class PartialAggregate:
         }
 
 
-class ShardedQueryEngine:
+class _Fold(PhysicalOp):
+    """A shard's numeric aggregate: folds the ``field`` values of its rows
+    into one :class:`PartialAggregate`, returned as a one-element list."""
+
+    __slots__ = ("field",)
+    op = "aggregate"
+
+    def __init__(self, child: PhysicalOp, field: str):
+        super().__init__(child, child.plan)
+        self.field = field
+
+    def describe(self) -> str:
+        return f"PARTIAL AGGREGATE {self.field}"
+
+    def apply(self, rows: Any, guard: Guard | None) -> list[PartialAggregate]:
+        partial = PartialAggregate()
+        n = 0
+        for row in rows:
+            n += 1
+            value = row.get(self.field)
+            if value is not None:
+                partial.add(value)
+        self.rows_in = n
+        return [partial]
+
+
+class ShardedQueryEngine(_Engine):
     """Scatter-gather query execution over a :class:`ShardedStore`.
 
     Planning happens once, at the facade: the sharded store exposes the
     same index metadata surface as a single store (epochs, kinds,
     summed statistics), so the ordinary planner — and this engine's
     :class:`PlanCache` — work unchanged.  The chosen plan is then split by
-    :func:`~repro.query.planner.plan_scatter`: every shard runs the access
-    path + residual against its own partition on a worker thread, and the
-    gather phase reassembles the output:
+    :func:`~repro.query.planner.plan_scatter`: every shard runs the
+    single-store operator chain for its share of the plan against its
+    own partition on a worker thread, and the gather phase reassembles
+    the output:
 
     * **sorted scans** — shards return runs pre-sorted by
       ``(ORDER BY value, primary key)`` and the gather k-way-merges them
       lazily (:func:`heapq.merge`), stopping at LIMIT.  The primary-key
       tiebreak totalizes the order, so the result is identical for any
       shard count.  (It can differ from a *plain* :class:`QueryEngine` on
-      duplicate sort keys only: the plain engine's stable sort keeps
-      insertion order among ties where this engine uses primary-key
-      order.)
-    * **aggregates** — shards return partial per-value counts; the gather
-      sums and formats them exactly like
-      :meth:`QueryEngine._aggregate`, so GROUP BY output is byte-identical
-      to single-store execution.
+      duplicate sort keys only: the plain engine keeps input order among
+      ties where this engine uses primary-key order.)
+    * **aggregates** — shards run the single-store aggregate operator;
+      the gather sums the per-value counts and formats them with the
+      same function, so GROUP BY output is byte-identical to
+      single-store execution.
     * **LIMIT pushdown** — without aggregation each shard produces at most
-      LIMIT rows (bounded top-k heap when sorted, early-exit scan when
+      LIMIT rows (the sort's top-k when sorted, an early-exit limit when
       not) and the merged stream is trimmed again.  As in SQL, a query
       *without* ORDER BY returns its matches in unspecified order (here:
       shard-major), and LIMIT without ORDER BY picks an unspecified
@@ -1146,13 +1268,14 @@ class ShardedQueryEngine:
     Observability: every execution runs under one trace ID that the
     shard workers adopt — the scatter emits a ``query.scatter`` root
     span with one ``query.shard`` child per shard (``shard`` / ``rows``
-    / ``seconds`` attributes), worker log lines carry the caller's trace
-    ID, and a slow execution lands one slow-log entry covering the whole
-    fan-out.  ``execute(..., profile=True)`` returns a
+    / ``seconds`` attributes), and worker log lines carry the caller's
+    trace ID.  ``execute(..., profile=True)`` returns a
     :class:`QueryProfile` whose root ``scatter`` node has one ``shard``
     child per shard (rows, per-shard wall time, buffer-pool page
     hits/misses attributed through
-    :func:`~repro.storage.bufferpool.page_stats_scope`).
+    :func:`~repro.storage.bufferpool.page_stats_scope`); a slow execution
+    lands one slow-log entry covering the whole fan-out with the same
+    tree, which a scatter measures whether profiled or not.
     """
 
     def __init__(
@@ -1163,17 +1286,13 @@ class ShardedQueryEngine:
         slow_log: SlowQueryLog | None = None,
         retry: RetryPolicy | None = None,
     ):
-        self.store = store
-        self.plan_cache = PlanCache(maxsize=plan_cache_size)
-        self.slow_log = slow_log
+        super().__init__(store, plan_cache_size=plan_cache_size, slow_log=slow_log)
         #: Bounded per-shard retry used by partial mode before a failing
         #: shard is given up on (transient faults recover in place; a
         #: persistent fault costs max_attempts tries, then the shard is
         #: skipped).  Strict mode never retries — its semantics are
         #: byte-for-byte the pre-partial behaviour.
         self.retry = retry if retry is not None else RetryPolicy(max_attempts=2)
-        self._engines = tuple(QueryEngine(shard) for shard in store.shards)
-        self._engines_for = store.shards  # tuple identity watched for reopens
         self._pool: ThreadPoolExecutor | None = None
         self._shard_rows = tuple(
             _metrics.counter("query.scatter.shard.rows", shard=str(i))
@@ -1183,21 +1302,6 @@ class ShardedQueryEngine:
             _metrics.counter("query.scatter.shard.skipped", shard=str(i))
             for i in range(store.shard_count)
         )
-        self._bytes_per_row = 0.0
-
-    def _refresh_engines(self) -> None:
-        """Rebuild per-shard engines for shards the store swapped out
-        (``ShardedStore.reopen_shard`` after a repair).  Identity check
-        only — the no-change case costs one ``is``."""
-        shards = self.store.shards
-        if shards is self._engines_for:
-            return
-        engines = list(self._engines)
-        for i, shard in enumerate(shards):
-            if engines[i].store is not shard:
-                engines[i] = QueryEngine(shard)
-        self._engines = tuple(engines)
-        self._engines_for = shards
 
     # -- public API --------------------------------------------------------
 
@@ -1240,14 +1344,7 @@ class ShardedQueryEngine:
         front — its bytes cannot be trusted, so strict refuses to read
         around (or from) it.
         """
-        if guard is None and (
-            timeout_s is not None or cancel is not None or max_rows is not None
-        ):
-            guard = Guard(
-                deadline=Deadline.after(timeout_s) if timeout_s is not None else None,
-                cancel=cancel,
-                max_rows=max_rows,
-            )
+        guard = _make_guard(guard, timeout_s, cancel, max_rows)
         try:
             return self._execute(
                 query, profile=profile, guard=guard, partial=partial
@@ -1262,104 +1359,93 @@ class ShardedQueryEngine:
         """:meth:`execute` with ``partial=True`` (convenience alias)."""
         return self.execute(query, partial=True, **kwargs)  # type: ignore[return-value]
 
-    def _execute(
-        self,
-        query: str | Query,
-        *,
-        profile: bool,
-        guard: Guard | None,
-        partial: bool = False,
-    ) -> list[dict[str, Any]] | QueryProfile:
-        with _logging.trace() as trace_id:
-            parsed = self._parse(query)
-            plan, fp, template, cached = self.plan_cache.get_or_plan_fingerprinted(
-                parsed, self.store  # type: ignore[arg-type]
-            )
-            splan = plan_scatter(plan)
-            self._check_clause_fields(splan)
-            if not _WORKLOAD_TABLE.enabled:
-                fp = None
-            query_text = query if isinstance(query, str) else str(query)
-            start = time.perf_counter()
-            with _tracing.span(
-                "query.scatter",
-                access=plan.access.op,
-                shards=self.store.shard_count,
-            ) as sspan:
-                sspan.set_attribute("trace_id", trace_id)
-                try:
-                    out, examined, metas, shards_failed = self._run_scatter(
-                        splan, guard, partial=partial
-                    )
-                except QueryInterrupted as exc:
-                    if fp is not None:
-                        _RECORD_PACKED((
-                            fp, template, 0, exc.rows_examined, -1,
-                            time.perf_counter() - start,
-                            0, cached, _interruption_kind(exc), False, None,
-                        ))
-                    raise
-                seconds = time.perf_counter() - start
-                sspan.set_attribute("rows", len(out))
-                if shards_failed:
-                    sspan.set_attribute("shards_failed", list(shards_failed))
-            if partial:
-                out = PartialResult(
-                    out,
-                    partial=bool(shards_failed),
-                    shards_failed=shards_failed,
-                )
-                if shards_failed:
-                    _SCATTER_PARTIAL.inc()
-            _QUERY_SECONDS.observe(seconds)
-            if fp is not None:
-                # Worker CPU burns on pool threads, invisible to this
-                # thread's CPU clock — record the execution unsampled
-                # (cpu_ns = -1) rather than attribute only merge cost.
-                _RECORD_PACKED((
-                    fp, template, len(out), examined, -1, seconds,
-                    _estimate_bytes(out, examined), cached,
-                ))
-            result: QueryProfile | None = None
-            if profile:
-                _PROFILED.inc()
-                result = self._scatter_profile(
-                    splan, out, examined, metas, seconds, cached, fp,
-                    shards_failed=shards_failed if partial else (),
-                )
-            if _logging.would_log("debug"):
-                _logging.debug(
-                    "query.scatter.execute",
-                    query=query_text,
-                    access=plan.access.op,
-                    shards=self.store.shard_count,
-                    plan_cached=cached,
-                    fingerprint=fp,
-                    rows=len(out),
-                    seconds=round(seconds, 6),
-                    partial=bool(shards_failed),
-                )
-            self._maybe_slow_log(
-                query_text, splan, cached, len(out), seconds, result, trace_id, fp
-            )
-            return result if result is not None else out
+    _samples_cpu = False
+    _log_event = "query.scatter.execute"
 
-    def _scatter_profile(
+    def _run(
         self,
-        splan: ScatterPlan,
-        out: list[dict[str, Any]],
-        examined: int,
-        metas: list[dict[str, Any] | None],
-        seconds: float,
+        plan: Plan,
+        guard: Guard | None,
+        profile: bool,
         plan_cached: bool,
         fingerprint: str | None,
-        shards_failed: tuple[int, ...] = (),
-    ) -> QueryProfile:
-        """Assemble the EXPLAIN ANALYZE tree of one scatter execution."""
-        children: list[OpProfile] = []
-        hits = misses = 0
-        for idx in shards_failed:
-            children.append(
+        partial: bool,
+    ) -> tuple[list[dict[str, Any]], int, float, Callable[[], QueryProfile]]:
+        splan = plan_scatter(plan)
+        _check_fields(self.store.schema, splan.group_by, splan.order_by)
+        group, order, limit = splan.group_by, splan.order_by, splan.shard_limit
+        pk = self.store.schema.primary_key
+
+        def merge_key(record: dict[str, Any]) -> tuple:
+            return (_sort_key(record.get(order)), _sort_key(record.get(pk)))
+
+        # Every shard compiles the single-store operator chain for its
+        # share of the plan: access and filter, then the aggregate
+        # (partial counts, summed below; groups are ordered after the
+        # merge), a sort keeping its top ``shard_limit`` rows by
+        # ``(ORDER BY value, primary key)``, or a limit.
+        shard_plan = replace(
+            splan.shard_plan,
+            group_by=group,
+            order_by=None if group is not None else order,
+            descending=splan.descending,
+            limit=limit,
+        )
+        start = time.perf_counter()
+        with _tracing.span(
+            "query.scatter",
+            access=plan.access.op,
+            shards=self.store.shard_count,
+        ) as sspan:
+            sspan.set_attribute("trace_id", _logging.current_trace_id())
+            parts, examined, shards, shards_failed = self._scatter(
+                guard,
+                lambda store: _compile(store, shard_plan, merge_key),
+                partial=partial,
+            )
+            merge_start = time.perf_counter()
+            if group is not None:
+                totals: dict[Any, int] = {}
+                for part in parts:
+                    for row in part:
+                        totals[row[group]] = totals.get(row[group], 0) + row["count"]
+                out = _format_groups(totals, group)
+                if order is not None:
+                    out = _top_k(
+                        out, lambda r: _sort_key(r.get(order)), splan.descending, splan.limit
+                    )
+                if splan.limit is not None:
+                    out = out[: splan.limit]
+            elif order is not None:
+                out = list(islice(
+                    heapq.merge(*parts, key=merge_key, reverse=splan.descending), limit
+                ))
+            else:
+                out = list(islice(chain.from_iterable(parts), limit))
+            _SCATTER_MERGE_SECONDS.observe(time.perf_counter() - merge_start)
+            seconds = time.perf_counter() - start
+            sspan.set_attribute("rows", len(out))
+            if shards_failed:
+                sspan.set_attribute("shards_failed", list(shards_failed))
+        for idx, shard in enumerate(shards):
+            if shard is not None:
+                self._shard_rows[idx].inc(shard[0].rows_returned)
+        _SCATTER_COUNT.inc()
+        if partial:
+            out = PartialResult(
+                out,
+                partial=bool(shards_failed),
+                shards_failed=shards_failed,
+            )
+            if shards_failed:
+                _SCATTER_PARTIAL.inc()
+        _count_run(len(out), examined, seconds)
+
+        def tree() -> QueryProfile:
+            # Shard rows and wall times are measured on every scatter
+            # (they feed the query.shard spans): no profiled run needed.
+            ran = [shard for shard in shards if shard is not None]
+            skipped = tuple(
                 OpProfile(
                     op="shard",
                     detail=f"shard {idx}  SKIPPED (failed or quarantined)",
@@ -1367,80 +1453,43 @@ class ShardedQueryEngine:
                     rows_returned=0,
                     seconds=0.0,
                 )
+                for idx in shards_failed
             )
-        for meta in metas:
-            if meta is None:
-                continue
-            hits += meta["page_hits"]
-            misses += meta["page_misses"]
-            children.append(
-                OpProfile(
-                    op="shard",
-                    detail=(
-                        f"shard {meta['shard']}  pages "
-                        f"hit={meta['page_hits']} miss={meta['page_misses']}"
-                    ),
-                    rows_examined=meta["examined"],
-                    rows_returned=meta["rows"],
-                    seconds=meta["seconds"],
-                )
+            root = OpProfile(
+                op="scatter",
+                detail=(
+                    f"{splan.shard_plan.access.describe()} "
+                    f"over {self.store.shard_count} shards"
+                ),
+                rows_examined=examined,
+                rows_returned=len(out),
+                seconds=seconds,
+                children=skipped + tuple(node for node, _ in ran),
             )
-        root = OpProfile(
-            op="scatter",
-            detail=(
-                f"{splan.shard_plan.access.describe()} "
-                f"over {self.store.shard_count} shards"
-            ),
-            rows_examined=examined,
-            rows_returned=len(out),
-            seconds=seconds,
-            children=tuple(children),
-        )
-        return QueryProfile(
-            rows=out,
-            root=root,
-            plan_text=splan.explain(),
-            seconds=seconds,
-            plan_cached=plan_cached,
-            fingerprint=fingerprint,
-            page_hits=hits,
-            page_misses=misses,
-            partial=bool(shards_failed),
-            shards_failed=shards_failed,
-        )
+            return QueryProfile(
+                rows=out,
+                root=root,
+                plan_text=splan.explain(),
+                seconds=seconds,
+                plan_cached=plan_cached,
+                fingerprint=fingerprint,
+                page_hits=sum(stats.hits for _, stats in ran),
+                page_misses=sum(stats.misses for _, stats in ran),
+                partial=bool(shards_failed),
+                shards_failed=shards_failed,
+            )
 
-    def _maybe_slow_log(
-        self,
-        query_text: str,
-        splan: ScatterPlan,
-        plan_cached: bool,
-        rows: int,
-        seconds: float,
-        profile: QueryProfile | None,
-        trace_id: str,
-        fingerprint: str | None,
-    ) -> None:
-        """One slow-log entry for the whole fan-out (no profiled re-run:
-        re-scattering would double every shard's work — the per-shard
-        spans already attribute the time)."""
-        slow = self.slow_log
-        if slow is None or seconds < slow.threshold_s:
-            return
-        slow.record(
-            query=query_text,
-            plan=splan.explain(),
-            plan_cached=plan_cached,
-            rows=rows,
-            seconds=seconds,
-            profile=profile,
-            reexecuted=False,
-            trace_id=trace_id,
-            fingerprint=fingerprint,
-        )
+        return out, examined, seconds, tree
+
+    def _log_fields(self, out: list[dict[str, Any]]) -> dict[str, Any]:
+        return {
+            "shards": self.store.shard_count,
+            "partial": bool(getattr(out, "partial", False)),
+        }
 
     def explain(self, query: str | Query) -> str:
         """The scatter plan :meth:`execute` would use, as text."""
-        parsed = self._parse(query)
+        parsed = _parse(query)
         plan, _, _, _ = self.plan_cache.get_or_plan_fingerprinted(
             parsed, self.store  # type: ignore[arg-type]
         )
@@ -1449,11 +1498,7 @@ class ShardedQueryEngine:
     def count(self, query: str | Query) -> int:
         """Number of records matching ``query`` (clauses beyond the filter
         are rejected, as on :meth:`QueryEngine.count`)."""
-        parsed = self._parse(query)
-        if parsed.group_by or parsed.order_by or parsed.limit is not None:
-            raise QueryPlanError(
-                "COUNT accepts a bare filter (no GROUP BY/ORDER BY/LIMIT)"
-            )
+        parsed = _parse_filter(query, "COUNT")
         return len(self.execute(parsed))
 
     def aggregate(
@@ -1472,11 +1517,7 @@ class ShardedQueryEngine:
         through :meth:`execute`; this is the programmatic surface for the
         remaining decomposable aggregates.
         """
-        parsed = self._parse(query)
-        if parsed.group_by or parsed.order_by or parsed.limit is not None:
-            raise QueryPlanError(
-                "aggregate() accepts a bare filter (no GROUP BY/ORDER BY/LIMIT)"
-            )
+        parsed = _parse_filter(query, "aggregate()")
         schema = self.store.schema
         if not schema.has_field(field):
             raise QueryPlanError(f"cannot aggregate unknown field {field!r}")
@@ -1488,22 +1529,15 @@ class ShardedQueryEngine:
         plan, _, _, _ = self.plan_cache.get_or_plan_fingerprinted(
             parsed, self.store  # type: ignore[arg-type]
         )
-        splan = plan_scatter(plan)
-
-        def fold(rows: Iterator[dict[str, Any]]) -> PartialAggregate:
-            partial = PartialAggregate()
-            add = partial.add
-            for row in rows:
-                value = row.get(field)
-                if value is not None:
-                    add(value)
-            return partial
-
-        partials, _, _, _ = self._scatter(splan, guard, fold)
+        shard_plan = plan_scatter(plan).shard_plan
+        parts, examined, _, _ = self._scatter(
+            guard, lambda store: _Fold(_compile(store, shard_plan), field)
+        )
         merged = PartialAggregate()
-        for partial in partials:
+        for (partial,) in parts:
             merged.merge(partial)
         _EXECUTIONS.inc()
+        _ROWS_EXAMINED.inc(examined)
         _SCATTER_COUNT.inc()
         return merged.finalize()
 
@@ -1521,78 +1555,27 @@ class ShardedQueryEngine:
 
     # -- scatter/gather internals ------------------------------------------
 
-    @staticmethod
-    def _parse(query: str | Query) -> Query:
-        if isinstance(query, Query):
-            return query
-        return parse_query(query)
-
-    def _check_clause_fields(self, splan: ScatterPlan) -> None:
-        schema = self.store.schema
-        if splan.group_by is not None and not schema.has_field(splan.group_by):
-            raise QueryPlanError(f"cannot GROUP BY unknown field {splan.group_by!r}")
-        if splan.order_by is not None:
-            known = schema.has_field(splan.order_by)
-            if splan.group_by is not None:
-                known = splan.order_by in (splan.group_by, "count")
-            if not known:
-                raise QueryPlanError(
-                    f"cannot ORDER BY unknown field {splan.order_by!r}"
-                )
-
-    def _run_scatter(
-        self, splan: ScatterPlan, guard: Guard | None, *, partial: bool = False
-    ) -> tuple[
-        list[dict[str, Any]], int, list[dict[str, Any] | None], tuple[int, ...]
-    ]:
-        """Execute the scatter plan; returns (rows, rows_examined,
-        per-shard metadata in shard order, failed shard indexes)."""
-        if splan.group_by is not None:
-            worker = self._fold_counts(splan.group_by)
-        elif splan.order_by is not None:
-            worker = self._fold_sorted(splan)
-        else:
-            worker = self._fold_plain(splan)
-        parts, examined, metas, failed = self._scatter(
-            splan, guard, worker, partial=partial
-        )
-
-        merge_start = time.perf_counter()
-        if splan.group_by is not None:
-            out = self._gather_counts(splan, parts)
-        elif splan.order_by is not None:
-            out = self._gather_sorted(splan, parts)
-        else:
-            out = self._gather_plain(splan, parts)
-        _SCATTER_MERGE_SECONDS.observe(time.perf_counter() - merge_start)
-        for meta in metas:
-            if meta is not None:
-                self._shard_rows[meta["shard"]].inc(meta["rows"])
-        _EXECUTIONS.inc()
-        _SCATTER_COUNT.inc()
-        _ROWS_RETURNED.inc(len(out))
-        return out, examined, metas, failed
-
     def _scatter(
         self,
-        splan: ScatterPlan,
         guard: Guard | None,
-        fold: Any,
+        compile_shard: Callable[[Any], PhysicalOp],
         *,
         partial: bool = False,
-    ) -> tuple[list[Any], int, list[dict[str, Any] | None], tuple[int, ...]]:
-        """Run ``fold`` over every shard's candidate rows, in parallel.
+    ) -> tuple[
+        list[Any], int, list[tuple[OpProfile, PageStats] | None], tuple[int, ...]
+    ]:
+        """Run one operator chain per shard, in parallel.
 
-        ``fold(rows_iterator) -> part`` consumes one shard's
-        residual-filtered candidates; the per-shard parts come back in
-        shard order.  Returns ``(parts, total_rows_examined, metas,
-        failed)`` where ``metas[i]`` describes shard ``i``'s work (rows,
-        wall time, buffer-pool page touches) — ``None`` for a worker
-        that failed — and ``failed`` is the tuple of skipped shard
-        indexes (always empty in strict mode, which raises instead).
-        Workers adopt the caller's trace context, so their
-        ``query.shard`` spans nest under the ``query.scatter`` root and
-        their log lines carry the same trace ID.
+        ``compile_shard(store)`` builds the chain over one shard's store;
+        the per-shard outputs come back in shard order.  Returns
+        ``(parts, total_rows_examined, shards, failed)`` where
+        ``shards[i]`` is shard ``i``'s ``shard`` tree node (rows, rows
+        examined, wall time) and its buffer-pool page touches — ``None``
+        for a shard that did not run — and ``failed`` is the tuple of
+        skipped shard indexes (always empty in strict mode, which raises
+        instead).  Workers adopt the caller's trace context, so
+        their ``query.shard`` spans nest under the ``query.scatter`` root
+        and their log lines carry the same trace ID.
 
         In partial mode a quarantined shard is skipped without being
         touched, a shard whose worker raises gets a bounded retry (the
@@ -1601,7 +1584,8 @@ class ShardedQueryEngine:
         aborted by a skippable failure.  Interruptions (deadline /
         cancel / budget) abort the scatter in both modes.
         """
-        self._refresh_engines()
+        # Read once: ShardedStore.reopen_shard swaps the tuple after a repair.
+        stores = self.store.shards
         if guard is not None:
             guard.check()  # fail fast before spawning workers
         abort = CancelToken()
@@ -1626,39 +1610,26 @@ class ShardedQueryEngine:
             ]
 
         ctx = _tracing.TraceContext.capture()
-        metas: list[dict[str, Any] | None] = [None] * self.store.shard_count
+        shards: list[tuple[OpProfile, PageStats] | None] = [None] * self.store.shard_count
         health = getattr(self.store, "health", None)
         failed: dict[int, BaseException] = {}
         failed_lock = threading.Lock()
         skipped = object()  # sentinel part for a shard given up on
 
         def attempt(idx: int) -> Any:
-            engine = self._engines[idx]
-            wguard = worker_guards[idx]
+            top = compile_shard(stores[idx])
             stats = PageStats()
             shard_start = time.perf_counter()
             with page_stats_scope(stats):
-                rows = engine._candidates(splan.shard_plan, wguard)
-                residual = splan.shard_plan.residual
-                if residual is not None:
-                    rows = (r for r in rows if residual.evaluate(r))
-                part = fold(rows)
-            elapsed = time.perf_counter() - shard_start
-            n = part.count if isinstance(part, PartialAggregate) else len(part)
-            if wguard is not None:
-                shard_examined = wguard.rows_examined
-            elif isinstance(splan.shard_plan.access, FullScan):
-                shard_examined = len(self.store.shards[idx])
-            else:
-                shard_examined = n
-            metas[idx] = {
-                "shard": idx,
-                "rows": n,
-                "seconds": elapsed,
-                "examined": shard_examined,
-                "page_hits": stats.hits,
-                "page_misses": stats.misses,
-            }
+                part = _drain(top, worker_guards[idx])
+            node = OpProfile(
+                op="shard",
+                detail=f"shard {idx}  pages hit={stats.hits} miss={stats.misses}",
+                rows_examined=top.examined,
+                rows_returned=len(part),
+                seconds=time.perf_counter() - shard_start,
+            )
+            shards[idx] = (node, stats)
             return part
 
         def run_shard(idx: int) -> Any:
@@ -1693,10 +1664,9 @@ class ShardedQueryEngine:
                     return skipped
                 if health is not None:
                     health.record_success(idx)
-                meta = metas[idx]
-                if meta is not None:
-                    sspan.set_attribute("rows", meta["rows"])
-                    sspan.set_attribute("seconds", round(meta["seconds"], 6))
+                node = shards[idx][0]
+                sspan.set_attribute("rows", node.rows_returned)
+                sspan.set_attribute("seconds", round(node.seconds, 6))
                 return part
 
         count = self.store.shard_count
@@ -1704,18 +1674,17 @@ class ShardedQueryEngine:
         if health is not None:
             for idx in list(indexes):
                 if not health.is_serving(idx):
+                    error = ShardUnavailableError(
+                        idx, health.state(idx), health.reason(idx)
+                    )
                     if not partial:
                         # Strict queries must not read a shard pulled
                         # out of service — a corruption quarantine means
                         # its bytes cannot be trusted.  Fail fast with
                         # the typed error instead of fanning out.
-                        raise ShardUnavailableError(
-                            idx, health.state(idx), health.reason(idx)
-                        )
+                        raise error
                     indexes.remove(idx)
-                    failed[idx] = ShardUnavailableError(
-                        idx, health.state(idx), health.reason(idx)
-                    )
+                    failed[idx] = error
                     self._shard_skipped[idx].inc()
         if len(indexes) == 1:
             parts = [run_shard(indexes[0])]
@@ -1737,33 +1706,13 @@ class ShardedQueryEngine:
                 self._raise_first(errors, worker_guards)
         parts = [part for part in parts if part is not skipped]
 
-        if failed and worker_guards[0] is None:
-            # A skipped shard's rows cannot be counted as examined — sum
-            # what the surviving workers actually reported instead of
-            # the whole-store estimate.
-            examined = sum(m["examined"] for m in metas if m is not None)
-        else:
-            examined = self._examined(splan, parts, worker_guards)
+        # A skipped shard examined nothing this query can count.
+        examined = sum(shard[0].rows_examined for shard in shards if shard is not None)
         if guard is not None:
             # Fold the workers' progress back into the caller's guard so
             # its stats()/partial-progress reporting covers the scatter.
             guard.rows_examined += examined
-        return parts, examined, metas, tuple(sorted(failed))
-
-    def _examined(
-        self,
-        splan: ScatterPlan,
-        parts: list[Any],
-        worker_guards: list[Guard | None],
-    ) -> int:
-        if worker_guards[0] is not None:
-            return sum(g.rows_examined for g in worker_guards if g is not None)
-        if isinstance(splan.shard_plan.access, FullScan):
-            return len(self.store)
-        return sum(
-            part.count if isinstance(part, PartialAggregate) else len(part)
-            for part in parts
-        )
+        return parts, examined, shards, tuple(sorted(failed))
 
     def _raise_first(
         self, errors: list[BaseException], worker_guards: list[Guard | None]
@@ -1784,97 +1733,3 @@ class ShardedQueryEngine:
         if isinstance(chosen, QueryInterrupted):
             chosen.rows_examined = total
         raise chosen
-
-    # -- per-shard folds ----------------------------------------------------
-
-    def _fold_counts(self, field: str) -> Any:
-        def fold(rows: Iterator[dict[str, Any]]) -> dict[Any, int]:
-            counts: dict[Any, int] = {}
-            for row in rows:
-                value = row.get(field)
-                if value is None:
-                    continue
-                values = value if isinstance(value, list) else [value]
-                for v in values:
-                    counts[v] = counts.get(v, 0) + 1
-            return counts
-
-        return fold
-
-    def _fold_sorted(self, splan: ScatterPlan) -> Any:
-        field = splan.order_by
-        pk = self.store.schema.primary_key
-
-        def sort_key(record: dict[str, Any]) -> tuple:
-            return (_sort_key(record.get(field)), _sort_key(record.get(pk)))
-
-        limit = splan.shard_limit
-
-        def fold(rows: Iterator[dict[str, Any]]) -> list[dict[str, Any]]:
-            if limit is not None:
-                top = heapq.nlargest if splan.descending else heapq.nsmallest
-                return top(limit, rows, key=sort_key)
-            return sorted(rows, key=sort_key, reverse=splan.descending)
-
-        return fold
-
-    def _fold_plain(self, splan: ScatterPlan) -> Any:
-        limit = splan.shard_limit
-
-        def fold(rows: Iterator[dict[str, Any]]) -> list[dict[str, Any]]:
-            if limit is not None:
-                return list(islice(rows, limit))
-            return list(rows)
-
-        return fold
-
-    # -- gather merges ------------------------------------------------------
-
-    def _gather_counts(
-        self, splan: ScatterPlan, parts: list[dict[Any, int]]
-    ) -> list[dict[str, Any]]:
-        field = splan.group_by
-        totals: dict[Any, int] = {}
-        for part in parts:
-            for value, count in part.items():
-                totals[value] = totals.get(value, 0) + count
-        # Format exactly as QueryEngine._aggregate: value-sorted rows.
-        out = [
-            {field: value, "count": count}
-            for value, count in sorted(totals.items(), key=lambda kv: _sort_key(kv[0]))
-        ]
-        if splan.order_by is not None:
-            order_field = splan.order_by
-            out.sort(
-                key=lambda r: _sort_key(r.get(order_field)),
-                reverse=splan.descending,
-            )
-        if splan.limit is not None:
-            out = out[: splan.limit]
-        return out
-
-    def _gather_sorted(
-        self, splan: ScatterPlan, parts: list[list[dict[str, Any]]]
-    ) -> list[dict[str, Any]]:
-        field = splan.order_by
-        pk = self.store.schema.primary_key
-
-        def sort_key(record: dict[str, Any]) -> tuple:
-            return (_sort_key(record.get(field)), _sort_key(record.get(pk)))
-
-        merged: Iterator[dict[str, Any]] = heapq.merge(
-            *parts, key=sort_key, reverse=splan.descending
-        )
-        if splan.limit is not None:
-            return list(islice(merged, splan.limit))
-        return list(merged)
-
-    def _gather_plain(
-        self, splan: ScatterPlan, parts: list[list[dict[str, Any]]]
-    ) -> list[dict[str, Any]]:
-        out: list[dict[str, Any]] = []
-        for part in parts:
-            out.extend(part)
-        if splan.limit is not None:
-            out = out[: splan.limit]
-        return out

@@ -6,9 +6,11 @@ import pytest
 from repro.core.builder import AuthorIndexBuilder
 from repro.corpus.wvlr import PUBLICATION_SCHEMA, populate_store
 from repro.obs import metrics, tracing
-from repro.query.executor import QueryEngine, QueryProfile
+from repro.obs.slowlog import SlowQueryLog
+from repro.query.executor import QueryEngine, QueryProfile, ShardedQueryEngine
 from repro.query.parser import parse_query
 from repro.search.engine import TitleSearchEngine
+from repro.storage.sharded import ShardedStore
 from repro.storage.store import IndexKind, RecordStore
 
 
@@ -97,3 +99,48 @@ class TestEndToEndFamilies:
         assert root.name == "query.execute"
         assert root.attributes["access"] == "index-range"
         assert root.attributes["rows"] == 10
+
+
+def _year_indexed_engine(records, slow_log=None):
+    store = RecordStore(PUBLICATION_SCHEMA)
+    populate_store(store, records)
+    store.create_index("year", IndexKind.BTREE)
+    return QueryEngine(store, slow_log=slow_log)
+
+
+class TestQueryCounters:
+    """Each execution counts once, whatever path ran it."""
+
+    def test_slow_unprofiled_query_counts_once(self, reference_records):
+        engine = _year_indexed_engine(
+            reference_records, SlowQueryLog(threshold_s=0.0)  # everything is slow
+        )
+        rows = engine.execute("year >= 1900")
+        assert len(engine.slow_log.entries()) == 1
+        snap = metrics.snapshot()
+        assert snap["counters"]["query.executions"] == 1
+        assert snap["histograms"]["query.seconds"]["count"] == 1
+        assert snap["counters"]["query.rows.returned"] == len(rows)
+        # An index range examines exactly the rows it returns.
+        assert snap["counters"]["query.rows.examined"] == len(rows)
+
+    def test_plain_profiled_and_scatter_runs_count_rows_examined(
+        self, reference_records
+    ):
+        def examined() -> int:
+            return metrics.snapshot()["counters"].get("query.rows.examined", 0)
+
+        engine = _year_indexed_engine(reference_records)
+        rows = engine.execute("year >= 1985")
+        assert examined() == len(rows) > 0
+        profile = engine.execute("year >= 1985", profile=True)
+        assert examined() == 2 * len(rows)
+        assert profile.root.rows_examined == len(rows)
+
+        with ShardedStore(PUBLICATION_SCHEMA, shards=3) as store:
+            populate_store(store, reference_records)
+            with ShardedQueryEngine(store) as sharded:
+                assert len(sharded.execute("*")) == len(reference_records)
+        # A scatter's full scan examines every record once, across shards.
+        assert examined() == 2 * len(rows) + len(reference_records)
+        assert metrics.snapshot()["counters"]["query.executions"] == 3

@@ -6,7 +6,7 @@ Covers the PR's acceptance criteria directly:
   the strict parser from ``tests.unit.test_obs_promexport``, not by
   substring checks;
 * a slow query produces a slow-log JSONL entry whose trace id matches
-  its span tree and its log lines (one id, three surfaces);
+  its log lines and, when it ran profiled, its span tree;
 * ``/healthz`` maps the fsck walker's exit codes to HTTP statuses.
 """
 
@@ -267,7 +267,7 @@ class TestSlowQueryCorrelation:
             path = tmp_path / "slow.jsonl"
             slow_log = SlowQueryLog(path, threshold_s=0.0)  # everything is slow
             engine = self._seeded_engine(reference_records, slow_log)
-            engine.execute("year >= 1900 ORDER BY year")
+            rows = engine.execute("year >= 1900 ORDER BY year")
         finally:
             logger.set_level(previous)
 
@@ -275,17 +275,23 @@ class TestSlowQueryCorrelation:
         trace_id = entry["trace_id"]
         assert trace_id
 
-        # The entry carries the re-executed EXPLAIN ANALYZE tree.
-        assert entry["profile_reexecuted"] is True
-        assert entry["profile"]["tree"]["op"] in ("sort", "limit", "filter")
-        assert entry["rows"] > 0
+        # The entry carries the operator tree of the run itself: its
+        # per-operator rows are the run's, and nothing ran a second time.
+        assert "profile_reexecuted" not in entry
+        assert entry["rows"] == len(rows) > 0
+        sort = entry["profile"]["tree"]
+        assert sort["op"] == "sort"
+        assert sort["rows_returned"] == len(rows)
+        (access,) = sort["children"]
+        assert access["op"] == "index-range"
+        assert access["rows_examined"] == access["rows_returned"] == sort["rows_examined"]
+        assert access["rows_returned"] == len(rows)
+        # Per-operator times are measured on profiled runs only.
+        assert sort["seconds"] == access["seconds"] == 0.0
+        # An unprofiled run opens no span.
+        assert tracing.last_root() is None
 
-        # The span tree from the profiled re-execution shares the id.
-        root = tracing.last_root()
-        assert root.name == "query.execute"
-        assert root.attributes["trace_id"] == trace_id
-
-        # The execution's log lines share it too.
+        # The execution's log lines share the trace id.
         lines = obs_logging.tail(trace_id=trace_id)
         events = {r["event"] for r in lines}
         assert "query.execute" in events
@@ -307,15 +313,6 @@ class TestSlowQueryCorrelation:
         engine = self._seeded_engine(reference_records, slow_log)
         engine.execute("year >= 1900 LIMIT 5")
         assert slow_log.entries() == []
-
-    def test_profile_on_slow_false_skips_reexecution(self, reference_records):
-        slow_log = SlowQueryLog(threshold_s=0.0, profile_on_slow=False)
-        engine = self._seeded_engine(reference_records, slow_log)
-        engine.execute("year >= 1900 LIMIT 5")
-        (entry,) = slow_log.entries()
-        assert "profile" not in entry
-        # No re-execution: no profiled span was opened.
-        assert tracing.last_root() is None
 
 
 class TestProgressz:

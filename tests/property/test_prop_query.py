@@ -1,8 +1,9 @@
 """Property-based planner/scan equivalence over random data and queries."""
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.obs.slowlog import SlowQueryLog
 from repro.query.ast_nodes import And, Comparison, Not, Operator, Or, Query
 from repro.query.executor import QueryEngine
 from repro.storage.schema import Field, FieldType, Schema
@@ -75,9 +76,26 @@ def _build_engines(data):
 
 @given(rows, queries())
 @settings(max_examples=150, deadline=None)
+@example(
+    # Duplicate ORDER BY keys cut by a LIMIT: ties must keep one order.
+    [("li", 1970, []), ("chen", 1970, ["tax"]), ("li", 1980, []), ("li", 1970, ["tax"])],
+    Query(where=None, order_by="name", descending=True, limit=2),
+)
+@example(
+    [("li", 1970, []), ("chen", 1970, []), ("li", 1970, ["tax"]), ("smith", 1990, [])],
+    Query(where=Comparison("year", Operator.GE, 1970), order_by="year", limit=2),
+)
 def test_planned_execution_equals_full_scan(data, query):
     engine = _build_engines(data)
     planned = engine.execute(query)
+    # Plain, profiled and slow-logged runs share one operator chain: the
+    # same rows in the same order, ties included.
+    assert engine.execute(query, profile=True).rows == planned
+    slow_log = SlowQueryLog(threshold_s=0.0)
+    logged = QueryEngine(engine.store, slow_log=slow_log).execute(query)
+    assert logged == planned
+    (entry,) = slow_log.entries()
+    assert entry["profile"]["tree"]["rows_returned"] == len(planned)
     scanned = engine.execute_without_indexes(query)
     if query.limit is None:
         assert sorted(r["id"] for r in planned) == sorted(r["id"] for r in scanned)

@@ -96,6 +96,7 @@ def test_scatter_gather_matches_single_shard(rows, shards):
             "year >= 1920 ORDER BY volume",
         ):
             assert many.execute(query) == one.execute(query), query
+            assert many.execute(query, profile=True).rows == many.execute(query), query
         if records:
             agg = many.aggregate("*", "year")
             years = [r["year"] for r in records]

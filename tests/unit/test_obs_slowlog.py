@@ -39,9 +39,9 @@ class TestEntryShape:
                 return {"op": "sort", "seconds": 0.2}
 
         log = SlowQueryLog()
-        entry = _record(log, profile=FakeProfile(), reexecuted=True)
+        entry = _record(log, profile=FakeProfile())
         assert entry["profile"] == {"op": "sort", "seconds": 0.2}
-        assert entry["profile_reexecuted"] is True
+        assert "profile_reexecuted" not in entry
 
     def test_trace_id_from_context_when_not_given(self):
         log = SlowQueryLog()

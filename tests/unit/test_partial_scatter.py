@@ -84,10 +84,10 @@ class TestPartialMode:
     def test_worker_failure_is_skipped_not_fatal(self, engine, monkeypatch):
         # Break one shard's worker below the health layer: partial mode
         # must return the three healthy shards and name the casualty.
-        bad = engine._engines[3]
+        bad = engine.store.shards[3]
         monkeypatch.setattr(
             bad,
-            "_candidates",
+            "scan",
             lambda *a, **k: (_ for _ in ()).throw(OSError(5, "dead disk")),
         )
         rows = engine.execute("* ORDER BY id", partial=True)
@@ -125,10 +125,10 @@ class TestStrictMode:
         assert err.value.state == QUARANTINED
 
     def test_strict_propagates_worker_failure(self, engine, monkeypatch):
-        bad = engine._engines[1]
+        bad = engine.store.shards[1]
         monkeypatch.setattr(
             bad,
-            "_candidates",
+            "scan",
             lambda *a, **k: (_ for _ in ()).throw(OSError(5, "dead disk")),
         )
         with pytest.raises(OSError):
